@@ -3,8 +3,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use pandora_data::by_name;
+use std::sync::Arc;
+
 use pandora_exec::ExecCtx;
-use pandora_hdbscan::{Hdbscan, HdbscanParams};
+use pandora_hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("hdbscan_pipeline");
@@ -42,18 +44,23 @@ fn bench_mpts_sensitivity(c: &mut Criterion) {
 }
 
 fn bench_engine_sweep(c: &mut Criterion) {
-    // The serving shape: one engine per dataset, a whole mpts sweep per
-    // iteration (amortized build + k-NN + pooled buffers) vs the same four
-    // requests served by cold one-shot pipelines.
+    // The serving shape: one index frozen at the largest mpts per dataset,
+    // a whole mpts sweep through one session per iteration (amortized
+    // build + k-NN + pooled buffers) vs the same four requests served by
+    // cold one-shot pipelines.
     let points = by_name("Uniform100M3D").unwrap().generate(20_000, 8);
     let sweep = [2usize, 4, 8, 16];
     let mut group = c.benchmark_group("hdbscan_engine");
     group.sample_size(10);
     group.bench_function("sweep_engine", |b| {
-        let driver = Hdbscan::with_ctx(HdbscanParams::default(), ExecCtx::threads());
         b.iter(|| {
-            let mut engine = driver.engine(&points);
-            engine.sweep_min_pts(&sweep)
+            let index = DatasetIndex::freeze_with_ctx(ExecCtx::threads(), points.clone(), 16)
+                .expect("finite dataset freezes");
+            let mut session = Arc::new(index).session();
+            sweep
+                .iter()
+                .map(|&m| session.run(&ClusterRequest::new().min_pts(m)))
+                .collect::<Vec<_>>()
         })
     });
     group.bench_function("sweep_cold_runs", |b| {

@@ -117,10 +117,11 @@ fn main() {
     // is slower than the serial one (parallelism silently disengaged).
     if let Ok(json_path) = std::env::var("PANDORA_BENCH_JSON") {
         let (serial, threaded, lanes) = emst_serial_vs_threaded(&points, 2, 3);
-        // Engine canary: a warm sweep over the paper's mpts set must beat
-        // the same requests served cold (it amortizes the kd-tree build,
-        // the k-NN pass and every stage buffer, and carries endgame bounds
-        // across runs — with bit-identical results, asserted inside).
+        // Sweep canary (the `engine` entry): one session over an index
+        // frozen at the paper's largest mpts must beat the same requests
+        // served cold (it amortizes the kd-tree build, the k-NN pass and
+        // every stage buffer, and carries endgame bounds across runs —
+        // with bit-identical results, asserted inside).
         let sweep = [2usize, 4, 8, 16];
         let engine = engine_vs_cold(&points, &sweep, 2);
         // Serving canary: the same shared-index request mix answered by 1
@@ -195,7 +196,7 @@ fn main() {
         );
         println!("\nthreaded speedup: {speedup:.2}x (written to {json_path})");
         println!(
-            "engine canary — sweep over mpts {sweep:?}: {:.1} ms vs {:.1} ms cold \
+            "sweep canary — one index over mpts {sweep:?}: {:.1} ms vs {:.1} ms cold \
              ({:.2}x amortization)",
             engine.sweep_s * 1e3,
             engine.cold_s * 1e3,
@@ -248,19 +249,19 @@ fn main() {
             );
             std::process::exit(1);
         }
-        // Engine canary bar: the warm sweep must beat the cold runs by a
+        // Sweep canary bar: the index sweep must beat the cold runs by a
         // real margin (CI uses 1.2; the measured amortization at 20k points
         // is ~2.5x, so a pass is far from the noise floor while any
-        // regression that de-amortizes the engine lands well below it).
+        // regression that de-amortizes the frozen index lands well below).
         let min_engine_speedup = std::env::var("PANDORA_BENCH_MIN_ENGINE_SPEEDUP")
             .ok()
             .and_then(|v| v.parse::<f64>().ok())
             .unwrap_or(1.0);
         if enforce && engine.speedup < min_engine_speedup {
             eprintln!(
-                "FAIL: engine sweep ({:.1} ms) vs cold runs ({:.1} ms) is only \
-                 {:.2}x (required ≥ {min_engine_speedup:.2}x) — the engine \
-                 stopped amortizing the shared substrate",
+                "FAIL: index sweep ({:.1} ms) vs cold runs ({:.1} ms) is only \
+                 {:.2}x (required ≥ {min_engine_speedup:.2}x) — the frozen \
+                 index stopped amortizing the shared substrate",
                 engine.sweep_s * 1e3,
                 engine.cold_s * 1e3,
                 engine.speedup,

@@ -9,10 +9,10 @@
 //! 1.1–1.5× (vs 1.6–2.4× for UnionFind-MT), while EMST grows for both.
 //!
 //! The sweep itself runs the way the paper's study implies it should be
-//! served: through one engine substrate per dataset
+//! served: through one index frozen at `max(mpts)` per dataset
 //! ([`pandora_bench::harness::run_pipeline_swept`]) — the kd-tree is built
-//! once, a single k-NN pass at `max(mpts)` yields every member's core
-//! distances by prefix, and all stage buffers are recycled. The measured
+//! once, a single k-NN pass yields every member's core distances by
+//! prefix, and all stage buffers are recycled. The measured
 //! amortization against four cold one-shot runs is printed per dataset.
 
 use pandora_bench::harness::{engine_vs_cold, fmt_s, print_table, project_at, run_pipeline_swept};
@@ -79,7 +79,7 @@ fn main() {
         );
         let canary = engine_vs_cold(&points, &sweep, 1);
         println!(
-            "engine amortization — shared substrate {} (build + k-NN at max mpts), \
+            "index amortization — shared substrate {} (build + k-NN at max mpts), \
              sweep {} vs four cold runs {}: {:.2}x, identical results",
             fmt_s(prepare_s),
             fmt_s(canary.sweep_s),

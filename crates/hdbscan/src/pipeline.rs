@@ -15,11 +15,14 @@
 //! then produces the merge sequence (itself a spanning tree) instead of
 //! the EMST, and stages 3–4 run unchanged.
 
-use pandora_core::{Dendrogram, PandoraStats, SortedMst};
+use std::sync::Arc;
+
+use pandora_core::{Dendrogram, DendrogramWorkspace, PandoraStats, SortedMst};
 use pandora_exec::ExecCtx;
 use pandora_mst::PointSet;
 
 use crate::condensed::CondensedTree;
+use crate::serve::{finish_pipeline, ClusterRequest, DatasetIndex};
 
 /// HDBSCAN\* parameters.
 #[derive(Debug, Clone, Copy)]
@@ -146,16 +149,52 @@ impl Hdbscan {
         &self.ctx
     }
 
-    /// Runs the full pipeline once.
+    /// Runs the full pipeline once: freezes a [`DatasetIndex`] at this
+    /// driver's `min_pts` and answers one request from a throwaway
+    /// session. The freeze's kd-tree build and k-NN pass are reported in
+    /// [`StageTimings::tree_build_s`] / [`StageTimings::core_s`]. Serving
+    /// several requests over the same dataset (or sweeping `minPts`)
+    /// should freeze once at the largest `minPts` and run every request
+    /// through [`crate::serve::Session::run`], which produces bit-identical
+    /// results.
     ///
-    /// Thin wrapper over a one-off [`crate::engine::HdbscanEngine`]: build
-    /// the stage workspaces, answer this one request, drop them. Serving
-    /// several requests over the same dataset (or sweeping `minPts`) should
-    /// hold an engine instead — [`Hdbscan::engine`] — which amortizes the
-    /// kd-tree build, the k-NN pass and every stage buffer across runs
-    /// while producing bit-identical results.
+    /// # Panics
+    ///
+    /// Panics if `min_pts` is 0 or (for two or more points) exceeds the
+    /// point count, or if `min_cluster_size` is 0. The serving API reports
+    /// these as [`pandora_mst::PandoraError`] values instead.
     pub fn run(&self, points: &PointSet) -> HdbscanResult {
-        self.engine(points).run_with(self.params.min_pts)
+        let min_pts = self.params.min_pts;
+        // Rejected before the empty-dataset bypass, so the panic names the
+        // actual offender on every input.
+        assert!(min_pts != 0, "invalid min_pts = 0: must be at least 1");
+        let request = ClusterRequest::new()
+            .min_pts(min_pts)
+            .min_cluster_size(self.params.min_cluster_size)
+            .allow_single_cluster(self.params.allow_single_cluster);
+        if points.is_empty() {
+            // No index exists for an empty dataset: run the back half of
+            // the pipeline over an empty MST.
+            let mut dendro = DendrogramWorkspace::new();
+            let timings = StageTimings::default();
+            return finish_pipeline(
+                &self.ctx,
+                0,
+                Vec::new(),
+                &[],
+                &request,
+                &mut dendro,
+                timings,
+            );
+        }
+        let index = DatasetIndex::freeze_with_ctx(self.ctx.clone(), points.clone(), min_pts)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let index = Arc::new(index);
+        let mut session = index.session_with_ctx(self.ctx.clone());
+        let mut result = session.run(&request).unwrap_or_else(|e| panic!("{e}"));
+        result.timings.tree_build_s += index.emst().build_seconds();
+        result.timings.core_s += index.emst().rows_seconds();
+        result
     }
 }
 
@@ -232,6 +271,9 @@ mod tests {
         let result = Hdbscan::new(HdbscanParams::default()).run(&points);
         assert!(result.timings.total() > 0.0);
         assert!(result.timings.emst_s() > 0.0);
+        // The freeze's kd-tree build and k-NN pass are part of a one-shot run.
+        assert!(result.timings.tree_build_s > 0.0);
+        assert!(result.timings.core_s > 0.0);
         assert_eq!(result.pandora_stats.level_edge_counts[0], 399);
     }
 
@@ -241,5 +283,15 @@ mod tests {
         let a = Hdbscan::new(HdbscanParams::default()).run(&points);
         let b = Hdbscan::new(HdbscanParams::default()).run(&points);
         assert_eq!(a.labels, b.labels);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_pts = 0")]
+    fn zero_min_pts_panics_even_on_an_empty_dataset() {
+        let params = HdbscanParams {
+            min_pts: 0,
+            ..Default::default()
+        };
+        let _ = Hdbscan::with_ctx(params, ExecCtx::serial()).run(&PointSet::new(vec![], 2));
     }
 }

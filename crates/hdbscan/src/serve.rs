@@ -1,12 +1,12 @@
-//! The concurrent serving API: one shared [`DatasetIndex`], many
-//! per-request [`Session`]s.
+//! The HDBSCAN\* pipeline over a frozen index: one shared
+//! [`DatasetIndex`], many per-request [`Session`]s.
 //!
-//! The engine of PR 4 ([`crate::engine::HdbscanEngine`]) amortizes the
-//! spatial substrate across *sequential* requests, but it is `&mut self`
-//! and lifetime-bound to one borrower — one request at a time per dataset.
-//! A serving deployment wants T threads answering clustering requests over
-//! the same dataset simultaneously. This module splits the engine along
-//! the read/write boundary the PANDORA stages already have:
+//! This is the only way the stack runs HDBSCAN\*. A `minPts` sweep freezes
+//! once at the largest member and runs every member through one session;
+//! a serving deployment shares the index between T threads, each with its
+//! own session; the one-shot [`crate::Hdbscan::run`] freezes at its
+//! `minPts` and runs one request. The split follows the read/write
+//! boundary the PANDORA stages already have:
 //!
 //! * [`DatasetIndex`] — the immutable tier: a validated point set, the
 //!   frozen kd-tree with its AoSoA leaf blocks, and sorted k-NN rows wide
@@ -215,7 +215,7 @@ impl ClusterRequest {
         })
     }
 
-    /// The equivalent driver parameters (for the legacy one-shot API).
+    /// The equivalent one-shot driver parameters ([`crate::Hdbscan`]).
     pub fn to_params(&self) -> HdbscanParams {
         HdbscanParams {
             min_pts: self.min_pts,
@@ -536,7 +536,8 @@ impl Drop for Session {
 }
 
 /// The dendrogram + extraction back half of the pipeline, shared by
-/// [`Session::run`] and the legacy engine shim: sorts the MST, builds the
+/// [`Session::run`] and the empty-dataset case of [`crate::Hdbscan::run`]
+/// (no index exists for n = 0): sorts the MST, builds the
 /// dendrogram with the resolved backend (request > `PANDORA_DENDROGRAM`
 /// env > α-contraction) through the reusable workspace, condenses and
 /// extracts flat clusters.

@@ -14,8 +14,10 @@
 //! distances over the full dataset (all-points core distance), which is the
 //! common simplification in practice.
 
-use pandora_exec::ExecCtx;
-use pandora_mst::{core_distances2, emst_with_core2, KdTree, Metric, MutualReachability, PointSet};
+use pandora_exec::{ExecCtx, ScratchPool};
+use pandora_mst::{
+    boruvka_mst_with, core_distances2, BoruvkaExtras, KdTree, Metric, MutualReachability, PointSet,
+};
 
 /// DBCV score of a flat clustering (−1 = worst, 1 = best).
 ///
@@ -54,7 +56,7 @@ pub fn dbcv(ctx: &ExecCtx, points: &PointSet, labels: &[i32], min_pts: usize) ->
         }
         let sub = points.select(m);
         let sub_core2: Vec<f32> = m.iter().map(|&i| core2[i as usize]).collect();
-        let mst = emst_with_core2(ctx, &sub, &sub_core2);
+        let mst = subset_mst(ctx, &sub, &sub_core2);
         sparseness[c] = mst.iter().map(|e| e.w as f64).fold(0.0f64, f64::max);
     }
 
@@ -97,6 +99,21 @@ pub fn dbcv(ctx: &ExecCtx, points: &PointSet, labels: &[i32], min_pts: usize) ->
     Some(score)
 }
 
+/// Mutual-reachability MST of a cluster's points under caller-provided
+/// (global) squared core distances: a fresh kd-tree, its subtree core
+/// minima for pruning, and one bare Borůvka run.
+fn subset_mst(ctx: &ExecCtx, points: &PointSet, core2: &[f32]) -> Vec<pandora_core::Edge> {
+    let tree = KdTree::build(ctx, points);
+    let mut node_core2 = Vec::new();
+    tree.min_core2_into(core2, &mut node_core2);
+    let extras = BoruvkaExtras {
+        node_core2: &node_core2,
+        ..Default::default()
+    };
+    let metric = MutualReachability { core2 };
+    boruvka_mst_with(ctx, points, &tree, &metric, extras, &ScratchPool::new())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +151,112 @@ mod tests {
         let ctx = ExecCtx::serial();
         let labels = vec![0i32; points.len()];
         assert!(dbcv(&ctx, &points, &labels, 4).is_none());
+    }
+
+    /// Brute-force DBCV straight from the definition: dense core
+    /// distances, Prim per cluster over the global mutual-reachability
+    /// distance, and O(n²) separation — no kd-tree, no Borůvka.
+    fn dbcv_brute_force(points: &PointSet, labels: &[i32], min_pts: usize) -> Option<f64> {
+        let n = points.len();
+        let core2: Vec<f32> = (0..n)
+            .map(|q| {
+                let mut d: Vec<f32> = (0..n)
+                    .filter(|&p| p != q)
+                    .map(|p| points.dist2(q, p))
+                    .collect();
+                d.sort_by(f32::total_cmp);
+                if min_pts >= 2 {
+                    d[min_pts - 2]
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let mreach2 = |a: usize, b: usize| points.dist2(a, b).max(core2[a]).max(core2[b]);
+        let k = labels.iter().copied().max().map_or(0, |m| m + 1) as usize;
+        let members: Vec<Vec<usize>> = (0..k as i32)
+            .map(|c| (0..n).filter(|&i| labels[i] == c).collect())
+            .collect();
+        let valid: Vec<usize> = (0..k).filter(|&c| members[c].len() >= 2).collect();
+        if valid.len() < 2 {
+            return None;
+        }
+        // Density sparseness: the largest edge of the cluster's Prim MST.
+        let sparseness = |m: &[usize]| -> f64 {
+            let mut dist = vec![f32::INFINITY; m.len()];
+            let mut done = vec![false; m.len()];
+            dist[0] = 0.0;
+            let mut widest = 0.0f32;
+            for _ in 0..m.len() {
+                let next = (0..m.len())
+                    .filter(|&i| !done[i])
+                    .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+                    .expect("an unvisited member remains");
+                done[next] = true;
+                widest = widest.max(dist[next]);
+                for i in 0..m.len() {
+                    if !done[i] {
+                        dist[i] = dist[i].min(mreach2(m[next], m[i]));
+                    }
+                }
+            }
+            widest.sqrt() as f64
+        };
+        let separation = |a: &[usize], b: &[usize]| -> f64 {
+            a.iter()
+                .flat_map(|&x| b.iter().map(move |&y| (mreach2(x, y) as f64).sqrt()))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let mut score = 0.0f64;
+        for &c in &valid {
+            let dsc = sparseness(&members[c]);
+            let min_sep = valid
+                .iter()
+                .filter(|&&o| o != c)
+                .map(|&o| separation(&members[c], &members[o]))
+                .fold(f64::INFINITY, f64::min);
+            score += (min_sep - dsc) / min_sep.max(dsc) * members[c].len() as f64 / n as f64;
+        }
+        Some(score)
+    }
+
+    #[test]
+    fn matches_the_brute_force_definition() {
+        let ctx = ExecCtx::serial();
+        let mut checked = 0;
+        for seed in 0..12u64 {
+            let n_blobs = 2 + (seed % 3) as usize;
+            let n = 60 + 12 * seed as usize; // 60..=192
+            let spread = 6.0 + 4.0 * (seed % 4) as f32;
+            let (points, truth) = gaussian_blobs(n, 2, n_blobs, spread, 1.0, seed + 100);
+            // Every seventh point (offset by the seed) is labelled noise.
+            let labels: Vec<i32> = truth
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| {
+                    if (i + seed as usize).is_multiple_of(7) {
+                        -1
+                    } else {
+                        t as i32
+                    }
+                })
+                .collect();
+            for min_pts in [2usize, 4, 6] {
+                let got = dbcv(&ctx, &points, &labels, min_pts);
+                let want = dbcv_brute_force(&points, &labels, min_pts);
+                match (got, want) {
+                    (Some(g), Some(w)) => {
+                        assert!(
+                            (g - w).abs() <= 1e-6 * w.abs(),
+                            "seed {seed} minPts {min_pts}: {g} vs brute force {w}"
+                        );
+                        checked += 1;
+                    }
+                    (g, w) => assert_eq!(g.is_some(), w.is_some(), "seed {seed}"),
+                }
+            }
+        }
+        assert_eq!(checked, 36);
     }
 
     #[test]

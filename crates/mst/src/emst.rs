@@ -1,62 +1,26 @@
-//! End-to-end EMST orchestration: kd-tree build → core distances → Borůvka.
+//! The one-shot EMST: freeze at `minPts`, answer one request.
 //!
 //! The paper treats EMST construction (its ArborX stage, \[39\]) as a
-//! single pre-processing step ahead of the PANDORA dendrogram; this module
-//! is that step as one call. It owns the phase sequencing the individual
-//! kernels (`kdtree`, `knn`, `boruvka`) should not know about:
+//! single pre-processing step ahead of the PANDORA dendrogram. This crate
+//! has one pipeline for it — [`crate::index::EmstIndex`] plus a per-request
+//! [`crate::index::EmstScratch`] — and [`emst`] is that pipeline run once:
 //!
-//! 1. build the kd-tree over the points (traced phase `emst_build`);
-//! 2. compute `minPts` core distances and their per-subtree minima for
-//!    mutual-reachability pruning (phase `emst_core`);
-//! 3. run Borůvka under the mutual-reachability metric — or plain
-//!    Euclidean when `min_pts <= 1`, where both metrics coincide
-//!    (phase `emst_boruvka`).
+//! 1. freeze the index at `max_min_pts = min_pts` — kd-tree build (traced
+//!    phase `emst_build`) and one sorted k-NN pass (phase `emst_core`);
+//! 2. answer one request on a throwaway scratch set — core distances by
+//!    row prefix (phase `emst_core`), then Borůvka under the
+//!    mutual-reachability metric, or plain Euclidean when `min_pts <= 1`
+//!    where both metrics coincide (phase `emst_boruvka`).
 //!
 //! Every stage is wall-clock timed ([`EmstTimings`]) and kernel-traced via
 //! [`pandora_exec::trace`], so the bench harness and the HDBSCAN\* pipeline
 //! report the same decomposition the paper's Figures 1 and 12 use.
 
-use std::time::Instant;
-
 use pandora_core::Edge;
-use pandora_exec::{ExecCtx, ScratchPool};
+use pandora_exec::ExecCtx;
 
-use crate::boruvka::{boruvka_mst, boruvka_mst_seeded, boruvka_mst_with, BoruvkaExtras};
-use crate::kdtree::{KdTree, DEFAULT_LEAF_SIZE};
-use crate::knn::{core2_from_rows, knn_rows_into, KnnRows};
-use crate::metric::{Euclidean, MutualReachability};
+use crate::index::{emst_from_index, EmstIndex, EmstScratch};
 use crate::point::PointSet;
-use crate::workspace::ROW_SLACK;
-
-/// Parameters of an EMST run.
-#[derive(Debug, Clone, Copy)]
-pub struct EmstParams {
-    /// HDBSCAN\* `minPts` (counting the point itself). `min_pts <= 1`
-    /// yields the plain Euclidean MST. Must not exceed the point count;
-    /// see [`crate::knn::core_distances2`].
-    pub min_pts: usize,
-    /// kd-tree leaf capacity.
-    pub leaf_size: usize,
-}
-
-impl Default for EmstParams {
-    fn default() -> Self {
-        Self {
-            min_pts: 2,
-            leaf_size: DEFAULT_LEAF_SIZE,
-        }
-    }
-}
-
-impl EmstParams {
-    /// Parameters with the given `min_pts` and the default leaf size.
-    pub fn with_min_pts(min_pts: usize) -> Self {
-        Self {
-            min_pts,
-            ..Self::default()
-        }
-    }
-}
 
 /// Per-stage wall-clock seconds of an EMST run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,117 +51,42 @@ pub struct Emst {
     pub timings: EmstTimings,
 }
 
-/// Runs the full EMST pipeline on `points`.
+/// Runs the full EMST pipeline on `points`: a freeze at `min_pts` plus one
+/// request (module docs).
 ///
-/// Returns the mutual-reachability MST for `params.min_pts >= 2`, the
-/// Euclidean MST otherwise. Non-finite coordinates are rejected by
-/// [`PointSet::new`], so every distance seen here is finite and the
-/// Borůvka liveness check can be unconditional.
-pub fn emst(ctx: &ExecCtx, points: &PointSet, params: &EmstParams) -> Emst {
-    let n = points.len();
-
-    ctx.set_phase("emst_build");
-    let t = Instant::now();
-    let tree = KdTree::build_with_leaf_size(ctx, points, params.leaf_size);
-    let tree_build_s = t.elapsed().as_secs_f64();
-
-    let mut timings = EmstTimings {
-        tree_build_s,
-        ..Default::default()
-    };
-
-    if n <= 1 {
-        // Degenerate sets: nothing to connect, every core distance is 0.
+/// Returns the mutual-reachability MST for `min_pts >= 2`, the Euclidean
+/// MST otherwise; `timings` include the freeze. Non-finite coordinates are
+/// rejected by [`PointSet::new`], so every distance seen here is finite.
+///
+/// # Panics
+///
+/// Panics if `min_pts` exceeds the point count (for two or more points):
+/// the `min_pts`-th neighbour does not exist. The fallible form is
+/// [`EmstIndex::freeze`] + [`emst_from_index`].
+pub fn emst(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst {
+    if points.is_empty() {
+        // The index rejects empty datasets; there is nothing to connect.
         return Emst {
             edges: Vec::new(),
-            core2: vec![0.0; n],
-            timings,
+            core2: Vec::new(),
+            timings: EmstTimings::default(),
         };
     }
-
-    if params.min_pts <= 1 {
-        // Plain single linkage: zero core distances, Euclidean metric.
-        ctx.set_phase("emst_boruvka");
-        let t = Instant::now();
-        let edges = boruvka_mst(ctx, points, &tree, &Euclidean);
-        timings.boruvka_s = t.elapsed().as_secs_f64();
-        return Emst {
-            edges,
-            core2: vec![0.0; n],
-            timings,
-        };
-    }
-
-    ctx.set_phase("emst_core");
-    let t = Instant::now();
-    // Sorted k-NN rows, `ROW_SLACK` wider than the core-distance prefix —
-    // the same substrate the frozen-index path captures at freeze time.
-    // Feeding the rows (rather than collapsed per-point seeds) into
-    // Borůvka arms the row screen and the merge-surviving 2-hop witnesses
-    // on the cold one-shot path too: round one mostly resolves straight
-    // from the rows, later rounds from surviving witnesses.
-    let k = (params.min_pts - 1 + ROW_SLACK).min(n - 1);
-    let (mut row_d2, mut row_idx) = (Vec::new(), Vec::new());
-    knn_rows_into(ctx, points, &tree, k, &mut row_d2, &mut row_idx);
-    // Core distances by prefix: the (minPts − 2)-th entry of a sorted row
-    // is the exact distance to the (minPts − 1)-th nearest neighbour.
-    let mut core2 = vec![0.0f32; n];
-    core2_from_rows(ctx, &row_d2, k, params.min_pts, &mut core2);
-    // Per-request subtree core minima for mutual-reachability pruning; the
-    // tree itself stays immutable (and thus shareable across requests).
-    let mut node_core2 = Vec::new();
-    tree.min_core2_into(&core2, &mut node_core2);
-    timings.core_s = t.elapsed().as_secs_f64();
-
-    ctx.set_phase("emst_boruvka");
-    let t = Instant::now();
-    let metric = MutualReachability { core2: &core2 };
-    let rows = KnnRows {
-        k,
-        d2: &row_d2,
-        idx: &row_idx,
-    };
-    let pool = ScratchPool::new();
-    let edges = boruvka_mst_with(
-        ctx,
-        points,
-        &tree,
-        &metric,
-        BoruvkaExtras {
-            rows: Some(rows),
-            node_core2: &node_core2,
-            ..Default::default()
-        },
-        &pool,
-    );
-    timings.boruvka_s = t.elapsed().as_secs_f64();
-
-    Emst {
-        edges,
-        core2,
-        timings,
-    }
-}
-
-/// Mutual-reachability MST with **caller-provided** squared core distances
-/// (e.g. subset MSTs evaluated under a global metric, as DBCV needs).
-///
-/// Builds the tree, computes the subtree core minima for pruning, and runs
-/// Borůvka; `core2.len()` must equal `points.len()`.
-pub fn emst_with_core2(ctx: &ExecCtx, points: &PointSet, core2: &[f32]) -> Vec<Edge> {
-    assert_eq!(core2.len(), points.len(), "one core distance per point");
-    let tree = KdTree::build(ctx, points);
-    let mut node_core2 = Vec::new();
-    tree.min_core2_into(core2, &mut node_core2);
-    let metric = MutualReachability { core2 };
-    boruvka_mst_seeded(ctx, points, &tree, &metric, None, &node_core2)
+    // `min_pts <= 1` is plain single linkage either way.
+    let min_pts = min_pts.max(1);
+    let index = EmstIndex::freeze(ctx, points.clone(), min_pts).unwrap_or_else(|e| panic!("{e}"));
+    let mut emst = emst_from_index(ctx, &index, min_pts, &mut EmstScratch::new())
+        .unwrap_or_else(|e| panic!("{e}"));
+    emst.timings.tree_build_s = index.build_seconds();
+    emst.timings.core_s += index.rows_seconds();
+    emst
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kruskal::total_weight;
-    use crate::metric::Metric;
+    use crate::metric::{Euclidean, MutualReachability};
     use crate::prim::prim_mst;
     use rand::prelude::*;
 
@@ -210,10 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn emst_matches_prim_for_default_params() {
+    fn emst_matches_prim_at_min_pts_two() {
         let ctx = ExecCtx::serial();
         let points = random_points(300, 3, 7);
-        let result = emst(&ctx, &points, &EmstParams::default());
+        let result = emst(&ctx, &points, 2);
         assert_eq!(result.edges.len(), 299);
         assert_eq!(result.core2.len(), 300);
         let metric = MutualReachability {
@@ -228,7 +117,7 @@ mod tests {
     fn min_pts_one_is_euclidean() {
         let ctx = ExecCtx::serial();
         let points = random_points(200, 2, 3);
-        let result = emst(&ctx, &points, &EmstParams::with_min_pts(1));
+        let result = emst(&ctx, &points, 1);
         assert!(result.core2.iter().all(|&c| c == 0.0));
         let expect = prim_mst(&points, &Euclidean);
         let (wa, wb) = (total_weight(&result.edges), total_weight(&expect));
@@ -239,7 +128,7 @@ mod tests {
     fn timings_and_phases_are_recorded() {
         let (ctx, tracer) = ExecCtx::serial().with_tracing();
         let points = random_points(400, 2, 5);
-        let result = emst(&ctx, &points, &EmstParams::default());
+        let result = emst(&ctx, &points, 2);
         assert!(result.timings.tree_build_s > 0.0);
         assert!(result.timings.boruvka_s > 0.0);
         assert!(result.timings.total() >= result.timings.core_s);
@@ -250,31 +139,23 @@ mod tests {
     }
 
     #[test]
-    fn with_custom_core2_respects_metric() {
-        let ctx = ExecCtx::serial();
-        let points = random_points(120, 2, 9);
-        // Inflated core distances dominate every pairwise distance.
-        let core2 = vec![1.0e6f32; 120];
-        let edges = emst_with_core2(&ctx, &points, &core2);
-        assert_eq!(edges.len(), 119);
-        let metric = MutualReachability { core2: &core2 };
-        assert!(metric.dist2(&points, 0, 1) == 1.0e6);
-        assert!(edges.iter().all(|e| (e.w - 1000.0).abs() < 1e-3));
-    }
-
-    #[test]
     fn tiny_and_empty_inputs() {
         let ctx = ExecCtx::serial();
-        // Degenerate sets must stay trivially well-defined even with the
-        // default min_pts = 2 (there is no neighbour, but also nothing to
-        // cluster).
-        for params in [EmstParams::with_min_pts(1), EmstParams::default()] {
+        // Degenerate sets must stay trivially well-defined even at
+        // min_pts = 2 (there is no neighbour, but also nothing to cluster).
+        for min_pts in [0, 1, 2] {
             let empty = PointSet::new(vec![], 2);
-            assert!(emst(&ctx, &empty, &params).edges.is_empty());
+            assert!(emst(&ctx, &empty, min_pts).edges.is_empty());
             let one = PointSet::new(vec![0.0, 0.0], 2);
-            let result = emst(&ctx, &one, &params);
+            let result = emst(&ctx, &one, min_pts);
             assert!(result.edges.is_empty());
             assert_eq!(result.core2, vec![0.0]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the number of points")]
+    fn min_pts_above_n_panics() {
+        let _ = emst(&ExecCtx::serial(), &random_points(5, 2, 1), 6);
     }
 }

@@ -1,14 +1,13 @@
-//! The frozen EMST substrate: an immutable, `Send + Sync` index one
-//! dataset, shared by arbitrarily many concurrent requests.
+//! The frozen EMST substrate: an immutable, `Send + Sync` index over one
+//! dataset, shared by arbitrarily many concurrent requests — and the only
+//! way this crate builds an EMST. The one-shot [`crate::emst::emst`] is a
+//! freeze at the requested `minPts` plus one request on a throwaway
+//! scratch set.
 //!
-//! [`crate::workspace::EmstWorkspace`] amortizes the spatial substrate
-//! across *sequential* runs, but it is a single-owner structure: the rows
-//! grow on demand, the kd-tree is built lazily, and every run threads
-//! `&mut` state. A serving deployment wants the opposite split — cuSLINK
-//! ships its pipeline as independently reusable building blocks behind a
-//! stable API, and ParChain's framework draws the same boundary between
-//! the immutable proximity substrate and per-query state. This module is
-//! that boundary for the EMST stage:
+//! cuSLINK ships its pipeline as independently reusable building blocks
+//! behind a stable API, and ParChain's framework draws the same boundary
+//! between the immutable proximity substrate and per-query state. This
+//! module is that boundary for the EMST stage:
 //!
 //! * [`EmstIndex`] — everything that is **read-only after a freeze step**:
 //!   the validated [`PointSet`], the kd-tree (with its AoSoA leaf blocks),
@@ -22,10 +21,11 @@
 //!   requests, never shared between two in-flight runs.
 //!
 //! [`emst_from_index`] answers one `minPts` request from the pair, with
-//! results **bit-identical** to the one-shot [`crate::emst::emst`] path
-//! (enforced by `tests/serve_concurrent.rs` and the engine equivalence
-//! proptests). Every entry point is fallible: bad datasets and bad
-//! parameters come back as [`PandoraError`], never a panic.
+//! results **bit-identical** to a bare Borůvka run (fresh kd-tree, fresh
+//! core distances, no rows, bounds or cache — enforced against that
+//! reference by `tests/mst_properties.rs` and `tests/serve_concurrent.rs`).
+//! Every entry point is fallible: bad datasets and bad parameters come
+//! back as [`PandoraError`], never a panic.
 
 use std::time::Instant;
 
@@ -35,11 +35,19 @@ use pandora_exec::{ExecCtx, ScratchPool};
 use crate::boruvka::{boruvka_mst_with, BoruvkaExtras, BoruvkaStats, EndgameCache, EndgameStore};
 use crate::emst::{Emst, EmstTimings};
 use crate::error::PandoraError;
-use crate::kdtree::{KdTree, DEFAULT_LEAF_SIZE};
+use crate::kdtree::KdTree;
 use crate::knn::{core2_from_rows, knn_rows_into, KnnRows};
 use crate::metric::{Euclidean, MetricKind, MutualReachability};
 use crate::point::PointSet;
-use crate::workspace::ROW_SLACK;
+
+/// Extra neighbours captured past the freeze ceiling `max_min_pts`.
+///
+/// The row screen proves a row-resolved winner exact only when it sits
+/// *strictly below* the row's k-th distance; at `minPts = k + 1` the core
+/// distance **is** the k-th distance, so a slack-free row can never certify
+/// a request at the ceiling. A few spare neighbours restore the screen for
+/// every servable `minPts` at a marginal one-off k-NN cost.
+pub const ROW_SLACK: usize = 8;
 
 /// An immutable, shareable EMST substrate for one dataset (module docs).
 ///
@@ -96,16 +104,6 @@ impl EmstIndex {
         points: PointSet,
         max_min_pts: usize,
     ) -> Result<Self, PandoraError> {
-        Self::freeze_with_leaf_size(ctx, points, max_min_pts, DEFAULT_LEAF_SIZE)
-    }
-
-    /// [`EmstIndex::freeze`] with a caller-chosen kd-tree leaf capacity.
-    pub fn freeze_with_leaf_size(
-        ctx: &ExecCtx,
-        points: PointSet,
-        max_min_pts: usize,
-        leaf_size: usize,
-    ) -> Result<Self, PandoraError> {
         let n = points.len();
         if n == 0 {
             return Err(PandoraError::EmptyDataset);
@@ -114,7 +112,7 @@ impl EmstIndex {
 
         ctx.set_phase("emst_build");
         let t = Instant::now();
-        let tree = KdTree::build_with_leaf_size(ctx, &points, leaf_size);
+        let tree = KdTree::build(ctx, &points);
         let build_s = t.elapsed().as_secs_f64();
 
         // One sorted pass at the ceiling; every smaller minPts is a prefix.
@@ -329,15 +327,11 @@ impl EmstScratch {
     }
 }
 
-/// The per-request EMST stage body shared by the frozen-index path
-/// ([`emst_from_index`]) and the single-owner workspace path
-/// ([`crate::workspace::emst_into`]): per-subtree pruning bounds, metric
-/// selection, and the fully-configured Borůvka run. **One implementation**
-/// — the two public surfaces differ only in where the tree, rows and
-/// core distances come from, so they cannot drift apart and silently
-/// break the bit-identicality contract.
-#[allow(clippy::too_many_arguments)] // internal seam between the two substrates
-pub(crate) fn run_request(
+/// The Borůvka half of a request ([`emst_from_index_with`]): per-subtree
+/// pruning bounds, metric selection, and the fully-configured Borůvka run
+/// over the frozen tree and rows.
+#[allow(clippy::too_many_arguments)] // the index and scratch fields, split for borrowing
+fn run_request(
     ctx: &ExecCtx,
     points: &PointSet,
     tree: &KdTree,
@@ -393,7 +387,6 @@ pub(crate) fn run_request(
                 node_core2: node_core2.as_slice(),
                 cache: Some((endgame, min_pts.max(1))),
                 stats,
-                ..Default::default()
             },
             pool,
         )
@@ -403,9 +396,9 @@ pub(crate) fn run_request(
 /// Answers one `minPts` request from a frozen [`EmstIndex`] and a
 /// per-request [`EmstScratch`].
 ///
-/// The returned MST edges and core distances are **bit-identical** to
-/// [`crate::emst::emst`] at the same `min_pts`: the row screen, the
-/// endgame transfer and the subtree bounds are all strictly conservative.
+/// The returned MST edges and core distances are **bit-identical** to a
+/// bare Borůvka run at the same `min_pts`: the row screen, the endgame
+/// transfer and the subtree bounds are all strictly conservative.
 /// Reported [`EmstTimings`] cover only this call (`tree_build_s` is always
 /// 0 — the build was paid by the freeze).
 ///
@@ -485,8 +478,39 @@ pub fn emst_from_index_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emst::{emst, EmstParams};
+    use crate::knn::core_distances2;
     use rand::prelude::*;
+
+    /// The independent reference: a bare Borůvka run over a fresh tree and
+    /// fresh core distances — no rows, bounds, cache or counters.
+    fn bare(ctx: &ExecCtx, points: &PointSet, min_pts: usize) -> Emst {
+        let tree = KdTree::build(ctx, points);
+        let core2 = core_distances2(ctx, points, &tree, min_pts);
+        let pool = ScratchPool::new();
+        let extras = BoruvkaExtras::default();
+        let edges = if min_pts <= 1 {
+            boruvka_mst_with(ctx, points, &tree, &Euclidean, extras, &pool)
+        } else {
+            let metric = MutualReachability { core2: &core2 };
+            boruvka_mst_with(ctx, points, &tree, &metric, extras, &pool)
+        };
+        Emst {
+            edges,
+            core2,
+            timings: EmstTimings::default(),
+        }
+    }
+
+    fn assert_same_edges(a: &[Edge], b: &[Edge], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(
+                (x.u, x.v, x.w.to_bits()),
+                (y.u, y.v, y.w.to_bits()),
+                "{what}"
+            );
+        }
+    }
 
     fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -497,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_index_matches_cold_runs_exactly() {
+    fn frozen_index_matches_the_bare_reference_exactly() {
         let ctx = ExecCtx::serial();
         let points = random_points(400, 3, 11);
         let index = EmstIndex::freeze(&ctx, points.clone(), 16).expect("freeze a valid dataset");
@@ -505,12 +529,9 @@ mod tests {
         for min_pts in [1usize, 2, 4, 8, 16] {
             let served =
                 emst_from_index(&ctx, &index, min_pts, &mut scratch).expect("valid request");
-            let cold = emst(&ctx, &points, &EmstParams::with_min_pts(min_pts));
+            let cold = bare(&ctx, &points, min_pts);
             assert_eq!(served.core2, cold.core2, "min_pts={min_pts}");
-            assert_eq!(served.edges.len(), cold.edges.len());
-            for (a, b) in served.edges.iter().zip(cold.edges.iter()) {
-                assert_eq!((a.u, a.v, a.w), (b.u, b.v, b.w), "min_pts={min_pts}");
-            }
+            assert_same_edges(&served.edges, &cold.edges, &format!("min_pts={min_pts}"));
             assert_eq!(served.timings.tree_build_s, 0.0);
         }
         assert_eq!(index.rows_k(), 15 + ROW_SLACK);
@@ -521,14 +542,14 @@ mod tests {
     fn shared_index_serves_concurrent_scratches() {
         // The tentpole property at the mst layer: one &EmstIndex, many
         // threads, each with its own EmstScratch — all answers identical
-        // to the cold path.
+        // to the bare reference.
         let ctx = ExecCtx::serial();
         let points = random_points(300, 2, 7);
         let index =
             std::sync::Arc::new(EmstIndex::freeze(&ctx, points.clone(), 8).expect("freeze"));
         let cold: Vec<_> = [2usize, 4, 8]
             .iter()
-            .map(|&m| emst(&ctx, &points, &EmstParams::with_min_pts(m)))
+            .map(|&m| bare(&ctx, &points, m))
             .collect();
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -550,9 +571,7 @@ mod tests {
                 .position(|&m| m == mine)
                 .expect("member")];
             assert_eq!(served.core2, want.core2, "min_pts={mine}");
-            for (a, b) in served.edges.iter().zip(want.edges.iter()) {
-                assert_eq!((a.u, a.v, a.w), (b.u, b.v, b.w), "min_pts={mine}");
-            }
+            assert_same_edges(&served.edges, &want.edges, &format!("min_pts={mine}"));
         }
     }
 
@@ -632,13 +651,11 @@ mod tests {
         let _ = emst_from_index(&ctx, &a, 4, &mut scratch).expect("serve A again");
         assert!(scratch.endgame_is_warm());
         // ...then serve B with the SAME scratch: bounds must be dropped
-        // (rebind) and the answer must equal B's cold run exactly.
+        // (rebind) and the answer must equal B's bare reference exactly.
         let served = emst_from_index(&ctx, &b, 4, &mut scratch).expect("serve B");
-        let cold = emst(&ctx, &b_points, &EmstParams::with_min_pts(4));
+        let cold = bare(&ctx, &b_points, 4);
         assert_eq!(served.core2, cold.core2);
-        for (x, y) in served.edges.iter().zip(cold.edges.iter()) {
-            assert_eq!((x.u, x.v, x.w), (y.u, y.v, y.w));
-        }
+        assert_same_edges(&served.edges, &cold.edges, "index B");
     }
 
     /// Well-separated blobs: late Borůvka rounds have blob-sized
@@ -669,7 +686,7 @@ mod tests {
         // request publishes its endgame snapshots to the index's shared
         // store, and a brand-new (cold) scratch set adopts them — dropping
         // its re-search volume below the cold run's — while staying
-        // bit-identical to the cold one-shot path.
+        // bit-identical to the bare reference.
         let ctx = ExecCtx::serial();
         let points = blob_points(150, 21);
         let index = EmstIndex::freeze(&ctx, points.clone(), 8).expect("freeze");
@@ -703,19 +720,12 @@ mod tests {
             "adopted bounds must cut re-searches ({warm_searches} vs {cold_searches})"
         );
 
-        // Bit-identical to each other and to the cold one-shot path.
-        let cold = emst(&ctx, &points, &EmstParams::with_min_pts(4));
+        // Bit-identical to each other and to the bare reference.
+        let cold = bare(&ctx, &points, 4);
         assert_eq!(first.core2, cold.core2);
         assert_eq!(second.core2, cold.core2);
-        for ((a, b), c) in first
-            .edges
-            .iter()
-            .zip(second.edges.iter())
-            .zip(cold.edges.iter())
-        {
-            assert_eq!((a.u, a.v, a.w), (b.u, b.v, b.w));
-            assert_eq!((a.u, a.v, a.w), (c.u, c.v, c.w));
-        }
+        assert_same_edges(&first.edges, &cold.edges, "first");
+        assert_same_edges(&second.edges, &cold.edges, "adopted");
     }
 
     #[test]

@@ -598,7 +598,7 @@ pub fn nnchain_from_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::emst::{emst, EmstParams};
+    use crate::emst::emst;
     use rand::prelude::*;
 
     fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
@@ -691,7 +691,7 @@ mod tests {
         let points = random_points(250, 2, 7);
         let ctx = ExecCtx::serial();
         let merges = euclid_run(&points, Linkage::Single, &ctx);
-        let tree = emst(&ctx, &points, &EmstParams::with_min_pts(1));
+        let tree = emst(&ctx, &points, 1);
         let canon = |edges: &[Edge]| {
             let mut v: Vec<(u32, u32, u32)> = edges
                 .iter()

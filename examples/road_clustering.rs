@@ -13,7 +13,7 @@ use pandora::core::pandora as pandora_algo;
 use pandora::core::SortedMst;
 use pandora::data::trajectories::road_network;
 use pandora::exec::ExecCtx;
-use pandora::mst::{boruvka_mst, Euclidean, KdTree};
+use pandora::mst::emst;
 
 fn main() {
     let ctx = ExecCtx::threads();
@@ -21,8 +21,7 @@ fn main() {
     println!("clustering {} road-network points (2-D)", points.len());
 
     // Plain single linkage: Euclidean MST → dendrogram.
-    let tree = KdTree::build(&ctx, &points);
-    let edges = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+    let edges = emst(&ctx, &points, 1).edges;
     let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
     let (dendro, stats) = pandora_algo::dendrogram_from_sorted(&ctx, &mst);
     println!(

@@ -49,9 +49,10 @@
 //! # Ok::<(), pandora::mst::PandoraError>(())
 //! ```
 //!
-//! The one-shot driver ([`hdbscan::Hdbscan::run`]) and the sequential
-//! sweep engine ([`hdbscan::Hdbscan::engine`]) remain as thin wrappers
-//! over the same two tiers, with bit-identical results.
+//! A `minPts` sweep is the same loop over one session. The one-shot
+//! driver ([`hdbscan::Hdbscan::run`]) is a freeze at its `minPts` plus one
+//! request, with bit-identical results; likewise [`mst::emst()`] for the
+//! EMST stage alone.
 
 pub use pandora_core as core;
 pub use pandora_data as data;
@@ -65,11 +66,11 @@ pub mod prelude {
     pub use pandora_core::{Dendrogram, Edge, SortedMst};
     pub use pandora_exec::ExecCtx;
     pub use pandora_hdbscan::{
-        ClusterRequest, DatasetIndex, DendrogramBackend, Hdbscan, HdbscanEngine, HdbscanParams,
-        HdbscanResult, Session,
+        ClusterRequest, DatasetIndex, DendrogramBackend, Hdbscan, HdbscanParams, HdbscanResult,
+        Session,
     };
     pub use pandora_mst::{
-        boruvka_mst, core_distances2, EmstIndex, EmstScratch, Euclidean, KdTree, Linkage,
-        MetricKind, MutualReachability, PandoraError, PointSet,
+        core_distances2, emst, EmstIndex, EmstScratch, Euclidean, KdTree, Linkage, MetricKind,
+        MutualReachability, PandoraError, PointSet,
     };
 }

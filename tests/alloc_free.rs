@@ -10,10 +10,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pandora::exec::ExecCtx;
-use pandora::hdbscan::{Hdbscan, HdbscanParams};
+use std::sync::Arc;
+
+use pandora::exec::{ExecCtx, ScratchPool};
+use pandora::hdbscan::{ClusterRequest, DatasetIndex};
 use pandora::mst::{
-    boruvka_mst, core_distances2, Euclidean, KdTree, KnnHeap, MutualReachability, PointSet,
+    boruvka_mst_with, core_distances2, BoruvkaExtras, Euclidean, KdTree, KnnHeap,
+    MutualReachability, PointSet,
 };
 
 struct CountingAlloc;
@@ -140,45 +143,48 @@ fn steady_state_queries_do_not_allocate() {
     //     n × rounds. With ~2000 points and ~10 rounds, a per-query or
     //     per-round-per-point allocation would blow well past the budget.
     let boruvka_allocs = min_allocs_over(3, || {
-        let edges = boruvka_mst(&ctx, &points, &tree, &metric);
+        let extras = BoruvkaExtras::default();
+        let edges = boruvka_mst_with(&ctx, &points, &tree, &metric, extras, &ScratchPool::new());
         assert_eq!(edges.len(), n - 1);
     });
     assert!(
         boruvka_allocs <= 24,
-        "boruvka_mst made {boruvka_allocs} allocations for a full run \
+        "boruvka_mst_with made {boruvka_allocs} allocations for a full run \
          (steady-state queries must be allocation-free per lane)"
     );
 
-    // --- Warm engine: after the first run, every stage workspace (kd-tree,
-    //     k-NN rows, Borůvka buffers, contraction hierarchy, chain keys) is
-    //     reused, so a complete warm `run_with` allocates only its outputs
-    //     (result vectors, condensed tree, a few per-level bookkeeping
-    //     vectors) — a small constant w.r.t. n. At n = 2000 a single leaked
-    //     per-point or per-round reallocation pattern adds thousands of
-    //     allocations, an order of magnitude past this bound; steady-state
-    //     reuse is thereby proven, not assumed.
-    let driver = Hdbscan::with_ctx(HdbscanParams::default(), ExecCtx::serial());
-    let mut engine = driver.engine(&points);
-    engine.prepare(8);
-    let _ = engine.run_with(8); // first run: populates every workspace
+    // --- Warm session: after the first run, every stage buffer (Borůvka
+    //     round buffers, endgame cache, contraction hierarchy, chain keys)
+    //     is reused over the frozen kd-tree and k-NN rows, so a complete
+    //     warm `Session::run` allocates only its outputs (result vectors,
+    //     condensed tree, a few per-level bookkeeping vectors) — a small
+    //     constant w.r.t. n. At n = 2000 a single leaked per-point or
+    //     per-round reallocation pattern adds thousands of allocations, an
+    //     order of magnitude past this bound; steady-state reuse is thereby
+    //     proven, not assumed.
+    let index = DatasetIndex::freeze_with_ctx(ExecCtx::serial(), points.clone(), 8)
+        .expect("freeze a valid dataset");
+    let index = Arc::new(index);
+    let mut session = index.session();
+    let request = ClusterRequest::new().min_pts(8);
+    let _ = session.run(&request).expect("first run"); // populates every buffer
     let warm_allocs = min_allocs_over(3, || {
-        let result = engine.run_with(8);
+        let result = session.run(&request).expect("warm run");
         assert_eq!(result.labels.len(), n);
     });
     assert!(
         warm_allocs <= 160,
-        "a warm engine run made {warm_allocs} allocations \
-         (stage workspaces are not being reused)"
+        "a warm session run made {warm_allocs} allocations \
+         (stage buffers are not being reused)"
     );
     // And the books balance: nothing stays leased between runs.
-    let session = engine.session().expect("warm engine has a session");
     assert_eq!(session.scratch_outstanding(), 0);
 
     // --- Warm dendrogram workspace, threaded path: once primed, a full
     //     α-contraction run through `ExecCtx::threads()` allocates only the
     //     returned dendrogram arrays, a few per-level bookkeeping vectors
     //     and the pool's per-region dispatch latches — the same constant
-    //     budget as the warm engine, nothing proportional to n. The tree
+    //     budget as the warm session, nothing proportional to n. The tree
     //     is larger than the dispatch grain so the threaded lanes really
     //     engage (under PANDORA_THREADS=1 the pool runs inline).
     use pandora::core::{dendrogram_from_sorted_with, DendrogramWorkspace, Edge, SortedMst};

@@ -1,5 +1,6 @@
 //! Shared adversarial sorted-MST generator for the differential suites
-//! (`dendrogram_differential.rs`, `census_crosscheck.rs`).
+//! (`dendrogram_differential.rs`, `census_crosscheck.rs`); the EMST
+//! reference lives in [`emst`], the linkage oracle in [`linkage`].
 //!
 //! [`mst_strategy`] implements the vendored-proptest [`Strategy`] trait
 //! directly, so every case is a pure function of the RNG stream: the
@@ -9,6 +10,7 @@
 
 #![allow(dead_code)] // each test binary uses a different subset
 
+pub mod emst;
 pub mod linkage;
 
 use proptest::prelude::*;

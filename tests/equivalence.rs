@@ -8,19 +8,14 @@ use pandora::core::pandora as pandora_algo;
 use pandora::core::{Edge, SortedMst};
 use pandora::data::all_datasets;
 use pandora::exec::ExecCtx;
-use pandora::mst::{boruvka_mst_seeded, core_distances2, KdTree, MutualReachability};
+use pandora::mst::emst;
 
 fn mutual_reachability_mst(
     ctx: &ExecCtx,
     points: &pandora::mst::PointSet,
     min_pts: usize,
 ) -> Vec<Edge> {
-    let tree = KdTree::build(ctx, points);
-    let core2 = core_distances2(ctx, points, &tree, min_pts);
-    let mut node_core2 = Vec::new();
-    tree.min_core2_into(&core2, &mut node_core2);
-    let metric = MutualReachability { core2: &core2 };
-    boruvka_mst_seeded(ctx, points, &tree, &metric, None, &node_core2)
+    emst(ctx, points, min_pts).edges
 }
 
 #[test]

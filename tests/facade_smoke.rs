@@ -42,9 +42,10 @@ fn prelude_covers_common_entry_points() {
     let tree = KdTree::build(&ctx, &points);
     let core2 = core_distances2(&ctx, &points, &tree, 2);
     assert_eq!(core2.len(), points.len());
-    let mst_edges = boruvka_mst(&ctx, &points, &tree, &Euclidean);
-    assert_eq!(mst_edges.len(), points.len() - 1);
+    let single = emst(&ctx, &points, 1);
+    assert_eq!(single.edges.len(), points.len() - 1);
     let _metric = MutualReachability { core2: &core2 };
+    let _euclidean = Euclidean;
 }
 
 /// The repository tree carries no stray empty directories (e.g. an

@@ -1,11 +1,13 @@
 //! HDBSCAN\* result edge cases through the full pipeline: degenerate point
 //! counts (n ∈ {0, 1, 2}), extreme `cut` thresholds, oversized
 //! `min_cluster_size`, and `allow_single_cluster` — on both the one-shot
-//! driver and the engine path.
+//! driver and a session over a frozen index.
+
+use std::sync::Arc;
 
 use pandora::exec::ExecCtx;
-use pandora::hdbscan::{Hdbscan, HdbscanParams, HdbscanResult};
-use pandora::mst::PointSet;
+use pandora::hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams, HdbscanResult};
+use pandora::mst::{PandoraError, PointSet};
 
 fn run(points: &PointSet, params: HdbscanParams) -> HdbscanResult {
     Hdbscan::with_ctx(params, ExecCtx::serial()).run(points)
@@ -117,30 +119,34 @@ fn allow_single_cluster_recovers_one_blob() {
 
 #[test]
 fn engine_handles_degenerate_sets_like_the_one_shot_path() {
-    for coords in [vec![], vec![1.0, 2.0], vec![0.0, 0.0, 1.0, 0.0]] {
+    // n = 0: no index exists (a typed error), and the one-shot driver
+    // still returns the empty result.
+    let empty = PointSet::new(vec![], 2);
+    let frozen = DatasetIndex::freeze_with_ctx(ExecCtx::serial(), empty.clone(), 2);
+    assert_eq!(frozen.err(), Some(PandoraError::EmptyDataset));
+    assert!(run(&empty, HdbscanParams::default()).labels.is_empty());
+
+    // n ∈ {1, 2}: one session sweeps minPts 1 and 2 (a single point
+    // accepts any minPts) exactly like one-shot runs.
+    for coords in [vec![1.0, 2.0], vec![0.0, 0.0, 1.0, 0.0]] {
         let points = PointSet::new(coords, 2);
         let n = points.len();
-        let driver = Hdbscan::with_ctx(HdbscanParams::default(), ExecCtx::serial());
-        let mut engine = driver.engine(&points);
-        // min_pts capped at n (the degenerate sets accept any min_pts for
-        // n ≤ 1; two points cap the sweep at 2).
-        let sweep: Vec<usize> = [1usize, 2]
-            .iter()
-            .map(|&m| m.max(1).min(n.max(1)))
-            .collect();
-        let swept = engine.sweep_min_pts(&sweep);
-        for (result, &min_pts) in swept.iter().zip(&sweep) {
-            let one_shot = Hdbscan::with_ctx(
-                HdbscanParams {
-                    min_pts,
-                    ..Default::default()
-                },
-                ExecCtx::serial(),
-            )
-            .run(&points);
-            assert_eq!(result.labels, one_shot.labels, "n={n} m={min_pts}");
-            assert_eq!(result.mst.weight, one_shot.mst.weight);
-            assert_eq!(result.core2, one_shot.core2);
+        let index = DatasetIndex::freeze_with_ctx(ExecCtx::serial(), points.clone(), 2)
+            .expect("freeze a non-empty dataset");
+        let mut session = Arc::new(index).session();
+        for min_pts in [1usize, 2] {
+            let served = session
+                .run(&ClusterRequest::new().min_pts(min_pts))
+                .expect("valid request");
+            let params = HdbscanParams {
+                min_pts,
+                ..Default::default()
+            };
+            let one_shot = run(&points, params);
+            assert_eq!(served.labels, one_shot.labels, "n={n} m={min_pts}");
+            assert_eq!(served.mst.weight, one_shot.mst.weight);
+            assert_eq!(served.core2, one_shot.core2);
+            assert_eq!(served.mst.n_edges(), n - 1);
         }
     }
 }

@@ -1,22 +1,23 @@
 //! Borůvka EMST validated against the dense Prim oracle across dataset
-//! families, metrics and execution contexts.
+//! families, metrics and execution contexts: the bare reference run and
+//! the production `emst()` pipeline alike.
 
+mod common;
+
+use common::emst::bare_emst;
 use pandora::core::SortedMst;
 use pandora::data::all_datasets;
 use pandora::exec::ExecCtx;
 use pandora::mst::kruskal::{kruskal_mst, total_weight};
 use pandora::mst::prim::prim_mst;
-use pandora::mst::{
-    boruvka_mst, boruvka_mst_seeded, core_distances2, Euclidean, KdTree, MutualReachability,
-};
+use pandora::mst::{emst, Euclidean, MutualReachability};
 
 #[test]
 fn boruvka_matches_prim_across_families() {
     let ctx = ExecCtx::threads();
     for spec in all_datasets() {
         let points = spec.generate(700, 3);
-        let tree = KdTree::build(&ctx, &points);
-        let got = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+        let got = emst(&ctx, &points, 1).edges;
         assert_eq!(got.len(), points.len() - 1, "{}", spec.name);
         let expect = prim_mst(&points, &Euclidean);
         let (wa, wb) = (total_weight(&got), total_weight(&expect));
@@ -34,12 +35,9 @@ fn boruvka_matches_prim_under_mutual_reachability() {
     for (name, min_pts) in [("Hacc37M", 4usize), ("VisualVar10M2D", 8), ("Pamap2", 16)] {
         let spec = pandora::data::by_name(name).unwrap();
         let points = spec.generate(600, 21);
-        let tree = KdTree::build(&ctx, &points);
-        let core2 = core_distances2(&ctx, &points, &tree, min_pts);
-        let mut node_core2 = Vec::new();
-        tree.min_core2_into(&core2, &mut node_core2);
+        let result = emst(&ctx, &points, min_pts);
+        let (core2, got) = (result.core2, result.edges);
         let metric = MutualReachability { core2: &core2 };
-        let got = boruvka_mst_seeded(&ctx, &points, &tree, &metric, None, &node_core2);
         let expect = prim_mst(&points, &metric);
         let (wa, wb) = (total_weight(&got), total_weight(&expect));
         assert!(
@@ -55,8 +53,7 @@ fn boruvka_output_is_a_spanning_tree() {
     let points = pandora::data::by_name("Normal100M2D")
         .unwrap()
         .generate(5_000, 8);
-    let tree = KdTree::build(&ctx, &points);
-    let edges = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+    let edges = emst(&ctx, &points, 1).edges;
     let mst = SortedMst::from_edges(&ctx, points.len(), &edges);
     mst.validate_tree().unwrap();
 }
@@ -78,8 +75,7 @@ fn kruskal_agrees_with_boruvka_on_dense_graph() {
         }
     }
     let via_kruskal = kruskal_mst(&ctx, points.len(), &graph);
-    let tree = KdTree::build(&ctx, &points);
-    let via_boruvka = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+    let via_boruvka = bare_emst(&ctx, &points, 1).edges;
     let (wa, wb) = (total_weight(&via_kruskal), total_weight(&via_boruvka));
     assert!((wa - wb).abs() <= 1e-3 * wb.max(1.0), "{wa} vs {wb}");
 }

@@ -5,40 +5,20 @@
 //! (contiguous subtree ranges, boxes containing their points, cached splits
 //! separating the children) must hold for every build configuration.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::emst::{adversarial_points, bare_emst, edge_bits};
 use pandora::core::pandora::dendrogram_from_sorted;
 use pandora::core::SortedMst;
 use pandora::exec::ExecCtx;
 use pandora::mst::kruskal::total_weight;
 use pandora::mst::prim::prim_mst;
 use pandora::mst::{
-    boruvka_mst, core_distances2, emst, emst_from_index, knn_rows_into, row_witness_scan,
-    EmstIndex, EmstParams, EmstScratch, Euclidean, KdTree, KnnRows, MutualReachability, PointSet,
+    core_distances2, emst, emst_from_index, knn_rows_into, row_witness_scan, EmstIndex,
+    EmstScratch, Euclidean, KdTree, KnnRows, MutualReachability,
 };
-
-/// Adversarial point sets. `mode` picks the family; coordinates are
-/// quantized to quarter-units so equal distances (the tie-break stress
-/// case) are common, not measure-zero.
-fn adversarial_points() -> impl Strategy<Value = PointSet> {
-    (0usize..3, 2usize..4, 8usize..100).prop_flat_map(|(mode, dim, n)| {
-        prop::collection::vec(0u32..32, n * dim..n * dim + 1).prop_map(move |raw| {
-            let coords: Vec<f32> = match mode {
-                // Duplicates: coordinates drawn from an 8-value alphabet,
-                // so many points coincide exactly.
-                0 => raw.iter().map(|&v| (v % 8) as f32).collect(),
-                // Collinear: every point sits on the main diagonal.
-                1 => raw
-                    .chunks(dim)
-                    .flat_map(|c| std::iter::repeat_n(c[0] as f32 * 0.25, dim))
-                    .collect(),
-                // Single-cluster blob on a quarter-unit grid.
-                _ => raw.iter().map(|&v| v as f32 * 0.25).collect(),
-            };
-            PointSet::new(coords, dim)
-        })
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -46,8 +26,7 @@ proptest! {
     #[test]
     fn boruvka_matches_prim_euclidean(points in adversarial_points()) {
         let ctx = ExecCtx::serial();
-        let tree = KdTree::build(&ctx, &points);
-        let got = boruvka_mst(&ctx, &points, &tree, &Euclidean);
+        let got = bare_emst(&ctx, &points, 1).edges;
         prop_assert_eq!(got.len(), points.len() - 1);
         let expect = prim_mst(&points, &Euclidean);
         let (wa, wb) = (total_weight(&got), total_weight(&expect));
@@ -63,7 +42,7 @@ proptest! {
     ) {
         let ctx = ExecCtx::serial();
         let min_pts = min_pts.min(points.len());
-        let result = emst(&ctx, &points, &EmstParams::with_min_pts(min_pts));
+        let result = bare_emst(&ctx, &points, min_pts);
         prop_assert_eq!(result.edges.len(), points.len() - 1);
         let metric = MutualReachability { core2: &result.core2 };
         let expect = prim_mst(&points, &metric);
@@ -86,8 +65,8 @@ proptest! {
         let min_pts = min_pts.min(points.len());
         let serial_ctx = ExecCtx::serial();
         let threaded_ctx = ExecCtx::threads();
-        let a = emst(&serial_ctx, &points, &EmstParams::with_min_pts(min_pts));
-        let b = emst(&threaded_ctx, &points, &EmstParams::with_min_pts(min_pts));
+        let a = emst(&serial_ctx, &points, min_pts);
+        let b = emst(&threaded_ctx, &points, min_pts);
         prop_assert_eq!(a.core2.as_slice(), b.core2.as_slice());
         prop_assert_eq!(a.edges.len(), b.edges.len());
         for (ea, eb) in a.edges.iter().zip(b.edges.iter()) {
@@ -205,20 +184,22 @@ proptest! {
     fn warm_index_path_matches_cold_and_prim_exactly(
         (points, min_pts) in (adversarial_points(), 1usize..6)
     ) {
-        // The frozen-index path layers every acceleration at once — row
+        // The production pipeline layers every acceleration at once — row
         // screen, merge-surviving witnesses, endgame snapshots (second run
         // through the same scratch), shared-store adoption (fresh scratch
-        // after a publish) — and must still return the cold run's edges
-        // BIT-identically, serial and threaded, while the cold run itself
-        // matches the Prim oracle on these tie-heavy inputs.
+        // after a publish) — and must still return the bare cold Borůvka
+        // run's edges BIT-identically, serial and threaded, while the bare
+        // run itself matches the Prim oracle on these tie-heavy inputs.
         let min_pts = min_pts.min(points.len());
-        let serial = ExecCtx::serial();
-        let cold = emst(&serial, &points, &EmstParams::with_min_pts(min_pts));
+        let cold = bare_emst(&ExecCtx::serial(), &points, min_pts);
         let metric = MutualReachability { core2: &cold.core2 };
         let oracle = prim_mst(&points, &metric);
         let (wc, wo) = (total_weight(&cold.edges), total_weight(&oracle));
         prop_assert!((wc - wo).abs() <= 1e-3 * wo.max(1.0), "cold {} vs Prim {}", wc, wo);
+        let want = edge_bits(&cold);
         for ctx in [ExecCtx::serial(), ExecCtx::threads()] {
+            prop_assert_eq!(edge_bits(&bare_emst(&ctx, &points, min_pts)), want.clone());
+            let one_shot = emst(&ctx, &points, min_pts);
             let index = EmstIndex::freeze(&ctx, points.clone(), min_pts)
                 .expect("freeze a non-empty dataset");
             let mut scratch = EmstScratch::new();
@@ -229,15 +210,9 @@ proptest! {
             let mut fresh = EmstScratch::new();
             let adopted = emst_from_index(&ctx, &index, min_pts, &mut fresh)
                 .expect("valid request");
-            for run in [&first, &second, &adopted] {
+            for run in [&one_shot, &first, &second, &adopted] {
                 prop_assert_eq!(run.core2.as_slice(), cold.core2.as_slice());
-                prop_assert_eq!(run.edges.len(), cold.edges.len());
-                for (ea, eb) in run.edges.iter().zip(cold.edges.iter()) {
-                    prop_assert_eq!(
-                        (ea.u, ea.v, ea.w.to_bits()),
-                        (eb.u, eb.v, eb.w.to_bits())
-                    );
-                }
+                prop_assert_eq!(edge_bits(run), want.clone());
             }
         }
     }

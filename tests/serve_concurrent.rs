@@ -1,18 +1,28 @@
 //! The serving API's contract, stress-tested: one `Arc<DatasetIndex>`
 //! shared by many threads must answer every mixed request **bit-identical**
 //! to the cold one-shot pipeline, with the scratch books balanced and no
-//! panic reachable from user input.
+//! panic reachable from user input. On adversarial inputs, one session's
+//! MSTs must also equal the bare Borůvka reference (`common::emst`) bit
+//! for bit, whatever it served before.
 //!
 //! The CI thread matrix runs this file under both `PANDORA_THREADS=1` and
 //! `PANDORA_THREADS=4`, so the threaded-context paths (`ExecCtx::threads`
 //! inside a serving thread, concurrent broadcasts on the global pool) are
 //! exercised at both extremes.
 
+mod common;
+
 use std::sync::Arc;
 
+use proptest::prelude::*;
+
+use common::emst::{adversarial_points, bare_emst};
+use pandora::core::SortedMst;
 use pandora::data::synthetic::gaussian_blobs;
 use pandora::exec::ExecCtx;
-use pandora::hdbscan::{ClusterRequest, DatasetIndex, Hdbscan, HdbscanResult, PandoraError};
+use pandora::hdbscan::{
+    ClusterRequest, DatasetIndex, Hdbscan, HdbscanParams, HdbscanResult, PandoraError,
+};
 use pandora::mst::PointSet;
 
 /// Asserts two pipeline results agree in every deterministic field.
@@ -261,4 +271,45 @@ fn request_order_cannot_leak_state_between_sessions() {
             });
         }
     });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn repeated_and_unordered_requests_stay_identical(
+        points in adversarial_points()
+    ) {
+        // A serving session sees arbitrary request orders — descending,
+        // repeated, interleaved — on tie-heavy inputs. Every answer must
+        // match the one-shot pipeline and, at the MST, the bare Borůvka
+        // reference, regardless of what the session served before (the
+        // endgame cache and row reuse must never leak state between
+        // requests).
+        let n = points.len();
+        let requests: Vec<usize> = [8usize, 2, 8, 16, 2, 1].iter().map(|&m| m.min(n)).collect();
+        let ceiling = requests.iter().copied().max().expect("non-empty");
+        for ctx in [ExecCtx::serial(), ExecCtx::threads()] {
+            let index = DatasetIndex::freeze_with_ctx(ctx.clone(), points.clone(), ceiling)
+                .expect("freeze a non-empty dataset");
+            let mut session = Arc::new(index).session();
+            for &min_pts in &requests {
+                let what = format!("lanes={} m={min_pts}", ctx.lanes());
+                let served = session
+                    .run(&ClusterRequest::new().min_pts(min_pts))
+                    .expect("valid request");
+                let params = HdbscanParams { min_pts, ..Default::default() };
+                let one_shot = Hdbscan::with_ctx(params, ctx.clone()).run(&points);
+                assert_results_identical(&served, &one_shot, &what);
+
+                let bare = bare_emst(&ctx, &points, min_pts);
+                let mst = SortedMst::from_edges(&ctx, n, &bare.edges);
+                prop_assert_eq!(served.core2.as_slice(), bare.core2.as_slice(), "{}", &what);
+                prop_assert_eq!(served.mst.src.as_slice(), mst.src.as_slice(), "{}", &what);
+                prop_assert_eq!(served.mst.dst.as_slice(), mst.dst.as_slice(), "{}", &what);
+                let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&served.mst.weight), bits(&mst.weight), "{}", &what);
+            }
+        }
+    }
 }
