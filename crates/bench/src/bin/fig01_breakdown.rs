@@ -156,7 +156,9 @@ fn main() {
         // Cold-run canary: the first-request EMST cost (nothing reused —
         // the round floor the merge-surviving witnesses attack) against a
         // fully warm frozen-index request, bit-identical edges asserted
-        // inside the harness.
+        // inside the harness. Its first index request's Borůvka counters
+        // (re-searches, subtree-retired points) ride along in the JSON as
+        // information; no bar reads them.
         let cold = emst_cold_vs_warm(&points, 2, 3);
         write_bench_ci_json(
             &json_path,
@@ -364,10 +366,13 @@ fn main() {
         }
         println!(
             "cold-run canary — cold one-shot EMST {:.1} ms vs warm index run {:.1} ms \
-             ({:.1}x round floor)",
+             ({:.1}x round floor); first index request: {} Borůvka re-searches, \
+             {} points retired by subtree tests (information only, not gated)",
             cold.cold_s * 1e3,
             cold.warm_s * 1e3,
-            cold.ratio()
+            cold.ratio(),
+            cold.researches,
+            cold.subtree_skips
         );
         // Cold-run bars (absolute + ratio), only enforced when set: the
         // witness rebuild's win is an absolute cold-path budget in

@@ -498,6 +498,11 @@ pub struct ColdWarmCanary {
     pub cold_s: f64,
     /// Warm frozen-index EMST wall seconds (best of reps, after priming).
     pub warm_s: f64,
+    /// Borůvka tree re-searches of the priming (first, cold) index request.
+    pub researches: u64,
+    /// Points the same request retired by a subtree test instead of
+    /// re-searching them.
+    pub subtree_skips: u64,
 }
 
 impl ColdWarmCanary {
@@ -530,6 +535,7 @@ pub fn emst_cold_vs_warm(points: &PointSet, min_pts: usize, reps: usize) -> Cold
         .expect("bench dataset freezes cleanly");
     let mut scratch = EmstScratch::new();
     let _ = emst_from_index(&ctx, &index, min_pts, &mut scratch).expect("priming run"); // warm
+    let (researches, subtree_skips) = (index.stats().researches(), index.stats().subtree_skips());
     let mut warm_s = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
@@ -547,7 +553,12 @@ pub fn emst_cold_vs_warm(points: &PointSet, min_pts: usize, reps: usize) -> Cold
             );
         }
     }
-    ColdWarmCanary { cold_s, warm_s }
+    ColdWarmCanary {
+        cold_s,
+        warm_s,
+        researches,
+        subtree_skips,
+    }
 }
 
 /// Measured dendrogram-stage canary: per-phase α-contraction wall times
@@ -794,10 +805,13 @@ pub fn write_bench_ci_json(
     let cold_json = cold.map_or(String::new(), |c| {
         format!(
             ",\n  \"emst_cold_ms\": {:.3},\n  \"emst_warm_ms\": {:.3},\n  \
-             \"emst_cold_warm_ratio\": {:.3}",
+             \"emst_cold_warm_ratio\": {:.3},\n  \"boruvka_researches\": {},\n  \
+             \"boruvka_subtree_skips\": {}",
             c.cold_s * 1e3,
             c.warm_s * 1e3,
-            c.ratio()
+            c.ratio(),
+            c.researches,
+            c.subtree_skips
         )
     });
     let json = format!(

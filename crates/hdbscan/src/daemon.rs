@@ -243,8 +243,9 @@ impl DatasetRegistry {
                 .iter()
                 .map(|(name, index)| {
                     // Borůvka cache effectiveness: queries answered by a
-                    // merge-surviving witness vs. full tree re-searches, and
-                    // how many cold lanes warmed from the shared endgame
+                    // merge-surviving witness vs. full tree re-searches,
+                    // subtree tests and the points they retired, and how
+                    // many cold lanes warmed from the shared endgame
                     // snapshot (docs/SERVING.md, "stats").
                     let boruvka = index.emst().stats();
                     Json::obj(vec![
@@ -255,6 +256,8 @@ impl DatasetRegistry {
                         ("pooled_sessions", Json::Int(index.pooled_sessions() as i64)),
                         ("witness_hits", Json::Int(boruvka.witness_hits() as i64)),
                         ("researches", Json::Int(boruvka.researches() as i64)),
+                        ("subtree_tests", Json::Int(boruvka.subtree_tests() as i64)),
+                        ("subtree_skips", Json::Int(boruvka.subtree_skips() as i64)),
                         (
                             "snapshot_adopts",
                             Json::Int(boruvka.snapshot_adopts() as i64),

@@ -37,7 +37,19 @@
 //!   traversal) is skipped. Each row screen additionally banks the best
 //!   member of a *second* foreign component, so when a merge absorbs the
 //!   primary witness the secondary usually survives to warm-start (and
-//!   bound) the fallback search instead of a cold traversal.
+//!   bound) the fallback search instead of a cold traversal;
+//! * **subtree retirement** (the query-node half of dual-tree Borůvka,
+//!   March, Ram & Gray, KDD 2010): a point that survives the boundary
+//!   filter, the witness hit and the row screen first tests the largest
+//!   kd-subtree holding it that is pure in its component and lies inside
+//!   the lane's chunk. One box-to-tree lower-bound query
+//!   ([`KdTree::subtree_margin`]) either proves every foreign point
+//!   strictly farther than the component's current best edge from the
+//!   whole box — then the point and the rest of the subtree take that
+//!   margin as their lower bound and none of them searches — or refutes
+//!   the subtree, which is then never tested again this round. Late rounds,
+//!   where whole blob interiors would otherwise re-search one point at a
+//!   time, collapse to a few hundred subtree tests.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -61,10 +73,10 @@ fn pack_candidate(d2: f32, p: u32) -> u64 {
     ((f32_to_ordered_u32(d2) as u64) << 32) | p as u64
 }
 
-/// Cumulative effectiveness counters for the witness machinery, shared by
-/// every Borůvka run over one dataset (the owner — an
-/// [`crate::index::EmstIndex`] — hands a reference to each run
-/// via [`BoruvkaExtras::stats`]).
+/// Cumulative effectiveness counters for the witness and subtree-retirement
+/// machinery, shared by every Borůvka run over one dataset (the owner — an
+/// [`crate::index::EmstIndex`] — hands a reference to each run via
+/// [`BoruvkaExtras::stats`]).
 ///
 /// All counters are monotone and relaxed: lanes accumulate locally and
 /// flush once per chunk, so the atomics see O(chunks) traffic, not O(n).
@@ -72,6 +84,8 @@ fn pack_candidate(d2: f32, p: u32) -> u64 {
 pub struct BoruvkaStats {
     witness_hits: RelaxedCounter,
     researches: RelaxedCounter,
+    subtree_tests: RelaxedCounter,
+    subtree_skips: RelaxedCounter,
     snapshot_adopts: RelaxedCounter,
 }
 
@@ -99,12 +113,29 @@ impl BoruvkaStats {
         self.snapshot_adopts.get()
     }
 
-    fn add_chunk(&self, hits: u64, searches: u64) {
-        if hits > 0 {
-            self.witness_hits.add(hits);
-        }
-        if searches > 0 {
-            self.researches.add(searches);
+    /// Box-to-tree subtree tests run before a re-search (each tests one
+    /// component-pure kd-subtree at most once per lane chunk per round).
+    pub fn subtree_tests(&self) -> u64 {
+        self.subtree_tests.get()
+    }
+
+    /// Points retired by a subtree test: their component's current best
+    /// edge was provably unbeatable from anywhere in their subtree, so
+    /// their re-search never ran.
+    pub fn subtree_skips(&self) -> u64 {
+        self.subtree_skips.get()
+    }
+
+    fn add_chunk(&self, hits: u64, searches: u64, tests: u64, skips: u64) {
+        for (counter, v) in [
+            (&self.witness_hits, hits),
+            (&self.researches, searches),
+            (&self.subtree_tests, tests),
+            (&self.subtree_skips, skips),
+        ] {
+            if v > 0 {
+                counter.add(v);
+            }
         }
     }
 
@@ -113,6 +144,12 @@ impl BoruvkaStats {
         self.snapshot_adopts.incr();
     }
 }
+
+/// Fewest not-yet-visited points (the querying point included) a subtree
+/// must hold to be worth a box-to-tree test: a lone remaining point is
+/// better served by its own exact search, whose point bound is tighter
+/// than the subtree's box bound.
+const MIN_RETIRE: usize = 2;
 
 /// A round enters the "endgame" once this few components remain — the
 /// regime where components are huge, every stale per-point bound fails,
@@ -417,8 +454,8 @@ pub struct BoruvkaExtras<'a> {
     /// Cross-run endgame cache plus the metric's `minPts` rank (1 for
     /// plain Euclidean); see [`EndgameCache`].
     pub cache: Option<(&'a mut EndgameCache, usize)>,
-    /// Effectiveness counters to accumulate into (witness hits and tree
-    /// re-searches); `None` = don't count.
+    /// Effectiveness counters to accumulate into (witness hits, tree
+    /// re-searches, subtree tests and skips); `None` = don't count.
     pub stats: Option<&'a BoruvkaStats>,
 }
 
@@ -680,6 +717,19 @@ pub fn boruvka_mst_with<M: Metric>(
             let rows_opt = rows;
             let perm = tree.perm();
             ctx.for_each_chunk_traced(n, 256, KernelKind::TreeTraverse, (n as u64) * 64, |range| {
+                // Subtree retirement state: perm positions before
+                // `retired_until` were retired by a proven subtree margin.
+                // `refuted` is the chain of nested subtrees whose test
+                // failed and that still contain the current position (each
+                // strictly inside the previous, so the kd-tree depth bounds
+                // it); a new test picks a subtree strictly below the
+                // innermost one, so no node is tested twice. Candidates lie
+                // wholly inside the chunk, so the retired points' slots
+                // stay owned by this lane.
+                let chunk = range.clone();
+                let mut retired_until = range.start;
+                let mut refuted = [0u32; 64];
+                let mut n_refuted = 0usize;
                 // Run state for the current same-component stretch: the best
                 // proposal found by this lane (flushed with one atomic min
                 // when the run ends) and the tightest known component bound.
@@ -690,7 +740,12 @@ pub fn boruvka_mst_with<M: Metric>(
                 // end so the shared atomics see O(chunks) traffic.
                 let mut hits = 0u64;
                 let mut searches = 0u64;
+                let mut tests = 0u64;
+                let mut skips = 0u64;
                 for i in range {
+                    if i < retired_until {
+                        continue;
+                    }
                     let q = perm[i];
                     let root = comp_ref[q as usize] as usize;
                     if root != run_root {
@@ -796,6 +851,52 @@ pub fn boruvka_mst_with<M: Metric>(
                             continue;
                         }
                     }
+                    // Subtree retirement (the query-node half of dual-tree
+                    // Borůvka): before re-searching, test the largest
+                    // component-pure subtree holding q once with a
+                    // box-to-tree bound. When every foreign point provably
+                    // sits strictly beyond `run_bound` from the whole box,
+                    // q and the subtree's remaining points can neither win
+                    // nor tie — `run_bound` only shrinks along the run, and
+                    // the run spans the pure subtree — so they all take the
+                    // margin as their lower bound and skip their searches.
+                    if run_bound.is_finite() {
+                        while n_refuted > 0 && tree.node_range(refuted[n_refuted - 1]).end <= i {
+                            n_refuted -= 1;
+                        }
+                        let below = n_refuted.checked_sub(1).map(|top| refuted[top]);
+                        let pure = tree.pure_subtree_at(i, root as u32, purity_ref, &chunk, below);
+                        if let Some(node) =
+                            pure.filter(|&nd| tree.node_range(nd).end - i >= MIN_RETIRE)
+                        {
+                            tests += 1;
+                            let end = tree.node_range(node).end;
+                            // The slot writes below are sound only inside
+                            // this lane's chunk.
+                            assert!(end <= chunk.end, "retired subtree leaves the lane's chunk");
+                            let proof = tree.subtree_margin(
+                                points, metric, node, comp_ref, purity_ref, node_core2, run_bound,
+                            );
+                            if let Some(margin) = proof {
+                                for &p in &perm[i..end] {
+                                    // SAFETY: chunk.start <= i and end <=
+                                    // chunk.end (asserted above), chunks are
+                                    // disjoint position ranges and perm is a
+                                    // permutation, so slot p is owned by this
+                                    // task alone.
+                                    unsafe {
+                                        let old = lower_view.read(p as usize);
+                                        lower_view.write(p as usize, old.max(margin));
+                                    }
+                                }
+                                skips += (end - i) as u64;
+                                retired_until = end;
+                                continue;
+                            }
+                            refuted[n_refuted] = node;
+                            n_refuted += 1;
+                        }
+                    }
                     // Warm start: the previous round's winner is a valid
                     // candidate iff its component is still foreign; when it
                     // died this round, the freshly-scanned 2-hop witness
@@ -866,7 +967,7 @@ pub fn boruvka_mst_with<M: Metric>(
                     cand_view[run_root].fetch_min(run_best, Ordering::Relaxed);
                 }
                 if let Some(stats) = stats {
-                    stats.add_chunk(hits, searches);
+                    stats.add_chunk(hits, searches, tests, skips);
                 }
             });
         }

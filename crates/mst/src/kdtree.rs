@@ -34,7 +34,9 @@
 use pandora_exec::trace::KernelKind;
 use pandora_exec::{ExecCtx, UnsafeSlice, DEFAULT_GRAIN};
 
-use crate::metric::{euclid_block_dist2, point_box_dist2, Metric, LEAF_BLOCK};
+use std::ops::Range;
+
+use crate::metric::{box_box_dist2, euclid_block_dist2, point_box_dist2, Metric, LEAF_BLOCK};
 use crate::point::PointSet;
 
 const INVALID: u32 = u32::MAX;
@@ -730,6 +732,160 @@ impl KdTree {
         }
     }
 
+    /// Perm positions `start..end` covered by node `nid`'s subtree.
+    pub fn node_range(&self, nid: u32) -> Range<usize> {
+        self.start[nid as usize] as usize..self.end[nid as usize] as usize
+    }
+
+    /// The largest subtree that contains perm position `pos`, holds only
+    /// points of component `comp` (per `purity` from
+    /// [`KdTree::component_purity`]) and whose perm range lies wholly
+    /// inside `within`; `below` (a node containing `pos`) restricts the
+    /// answer to its strict descendants. `None` when no node on the path
+    /// to `pos`'s leaf qualifies. O(depth).
+    pub fn pure_subtree_at(
+        &self,
+        pos: usize,
+        comp: u32,
+        purity: &[u32],
+        within: &Range<usize>,
+        below: Option<u32>,
+    ) -> Option<u32> {
+        debug_assert!(pos < self.perm.len());
+        let child_toward = |nid: usize| {
+            let left = self.left[nid];
+            (left != INVALID)
+                .then(|| left as usize + usize::from(pos >= self.end[left as usize] as usize))
+        };
+        let mut nid = match below {
+            None => 0,
+            Some(b) => child_toward(b as usize)?,
+        };
+        loop {
+            let (s, e) = (self.start[nid] as usize, self.end[nid] as usize);
+            if purity[nid] == comp && within.start <= s && e <= within.end {
+                return Some(nid as u32);
+            }
+            nid = child_toward(nid)?;
+        }
+    }
+
+    /// Box-to-tree lower-bound query for a **component-pure** node `nid`:
+    /// proves that every point of a different component lies farther than
+    /// `bound` from *every* point of the node, under `metric`.
+    ///
+    /// Returns `Some(margin)` with `margin > bound` a lower bound on the
+    /// nearest-foreign squared distance of each member of the node, or
+    /// `None` when the proof fails (some foreign point may sit at or within
+    /// `bound` — equal distances never prove, so ties still reach the exact
+    /// per-point search). Subtrees are pruned by
+    /// [`Metric::node_bound2`] over box–box distances and the per-node
+    /// minimum core distances `node_core2` (empty = none, always valid);
+    /// the foreign points of a surviving leaf are bounded one by one with
+    /// [`Metric::box_bound2`] against the node's box. Traversal goes
+    /// nearest child first, so a failing proof usually stops at the first
+    /// leaf it scans. Allocation-free.
+    #[allow(clippy::too_many_arguments)] // mirrors nearest_foreign_bounded
+    pub fn subtree_margin<M: Metric>(
+        &self,
+        points: &PointSet,
+        metric: &M,
+        nid: u32,
+        comp: &[u32],
+        purity: &[u32],
+        node_core2: &[f32],
+        bound: f32,
+    ) -> Option<f32> {
+        let dim = self.dim;
+        let q = nid as usize;
+        let my_comp = purity[q];
+        debug_assert_ne!(
+            my_comp, INVALID,
+            "subtree_margin needs a component-pure node"
+        );
+        let (qmin, qmax) = (
+            &self.bbox_min[q * dim..(q + 1) * dim],
+            &self.bbox_max[q * dim..(q + 1) * dim],
+        );
+        let core_of = |m: usize| node_core2.get(m).copied().unwrap_or(0.0);
+        let q_core2 = core_of(q);
+        let node_bound = |m: usize| {
+            let d2 = box_box_dist2(
+                qmin,
+                qmax,
+                &self.bbox_min[m * dim..(m + 1) * dim],
+                &self.bbox_max[m * dim..(m + 1) * dim],
+            );
+            metric.node_bound2(d2, q_core2, core_of(m))
+        };
+        if purity[0] == my_comp {
+            // One component holds every point: nothing is foreign.
+            return Some(f32::INFINITY);
+        }
+        let root_bound = node_bound(0);
+        if root_bound > bound {
+            return Some(root_bound);
+        }
+        let mut margin = f32::INFINITY;
+        let mut stack = [0u32; MAX_STACK];
+        let mut sp = 0usize;
+        let mut m = 0u32;
+        loop {
+            // `m` holds foreign points and its bound does not clear
+            // `bound`: descend, nearer surviving child first.
+            loop {
+                let left = self.left[m as usize];
+                if left == INVALID {
+                    break;
+                }
+                let mut next = (INVALID, f32::INFINITY);
+                for child in [left, left + 1] {
+                    if purity[child as usize] == my_comp {
+                        continue;
+                    }
+                    let b = node_bound(child as usize);
+                    if b > bound {
+                        margin = margin.min(b);
+                    } else if next.0 == INVALID {
+                        next = (child, b);
+                    } else {
+                        // Both children survive: keep the nearer one.
+                        let far = if b < next.1 {
+                            std::mem::replace(&mut next, (child, b)).0
+                        } else {
+                            child
+                        };
+                        stack[sp] = far;
+                        sp += 1;
+                    }
+                }
+                m = next.0;
+                if m == INVALID {
+                    break;
+                }
+            }
+            if m != INVALID {
+                for &p in &self.perm[self.node_range(m)] {
+                    if comp[p as usize] == my_comp {
+                        continue;
+                    }
+                    let d2 = point_box_dist2(points.point(p as usize), qmin, qmax);
+                    let b = metric.box_bound2(points, p, d2, q_core2);
+                    if b <= bound {
+                        return None;
+                    }
+                    margin = margin.min(b);
+                }
+            }
+            if sp == 0 {
+                break;
+            }
+            sp -= 1;
+            m = stack[sp];
+        }
+        Some(margin)
+    }
+
     /// Verifies the structural invariants of the tree: `perm` is a
     /// permutation, subtree ranges are contiguous (children exactly
     /// partition their parent), cached splits separate the children, and
@@ -1062,7 +1218,7 @@ impl KnnHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::Euclidean;
+    use crate::metric::{Euclidean, MutualReachability};
     use rand::prelude::*;
 
     fn random_points(n: usize, dim: usize, seed: u64) -> PointSet {
@@ -1188,6 +1344,162 @@ mod tests {
             let tight =
                 tree.nearest_foreign_from(&points, &Euclidean, q, &comp, &purity, &[], plain);
             assert_eq!(plain, tight, "tight seed, q={q}");
+        }
+    }
+
+    /// Checks [`KdTree::subtree_margin`] on every component-pure node:
+    /// a proof is strictly above its bound and never above the
+    /// brute-force minimum foreign distance of any member, and a bound at
+    /// (a tie) or above that minimum never proves. Returns
+    /// `(proofs, tight proofs)`, where a tight proof equals the minimum.
+    fn check_subtree_margins<M: Metric>(
+        tree: &KdTree,
+        points: &PointSet,
+        metric: &M,
+        comp: &[u32],
+        node_core2: &[f32],
+    ) -> (usize, usize) {
+        let purity = tree.component_purity(comp);
+        let (mut proofs, mut tight) = (0, 0);
+        for nid in 0..tree.n_nodes() as u32 {
+            if purity[nid as usize] == INVALID {
+                continue;
+            }
+            let members = &tree.perm()[tree.node_range(nid)];
+            let brute = members
+                .iter()
+                .flat_map(|&y| {
+                    (0..points.len() as u32)
+                        .filter(move |&x| comp[x as usize] != comp[y as usize])
+                        .map(move |x| metric.dist2(points, y, x))
+                })
+                .fold(f32::INFINITY, f32::min);
+            let margin = |bound: f32| {
+                tree.subtree_margin(points, metric, nid, comp, &purity, node_core2, bound)
+            };
+            assert_eq!(margin(brute), None, "node {nid}: a tie at the bound proved");
+            assert_eq!(
+                margin(brute * 1.5 + 1.0),
+                None,
+                "node {nid}: proved past the minimum"
+            );
+            for bound in [
+                0.0,
+                0.25 * brute,
+                0.5 * brute,
+                0.9 * brute,
+                brute.next_down(),
+            ] {
+                if let Some(m) = margin(bound) {
+                    assert!(m > bound, "node {nid}: margin {m} not above bound {bound}");
+                    assert!(
+                        m <= brute,
+                        "node {nid}: margin {m} above the true minimum {brute}"
+                    );
+                    proofs += 1;
+                    tight += usize::from(m == brute);
+                }
+            }
+        }
+        (proofs, tight)
+    }
+
+    #[test]
+    fn subtree_margin_is_a_lower_bound_under_both_metrics() {
+        let ctx = ExecCtx::serial();
+        for dim in [2usize, 3] {
+            let points = random_points(500, dim, 31 + dim as u64);
+            let tree = KdTree::build_with_leaf_size(&ctx, &points, 8);
+            // Three slabs along the first axis: most subtrees are pure.
+            let comp: Vec<u32> = (0..points.len())
+                .map(|p| ((points.point(p)[0] + 10.0) / 7.0) as u32)
+                .collect();
+            let core2: Vec<f32> = (0..points.len() as u32)
+                .map(|q| tree.knn(&points, q, 4)[3].0)
+                .collect();
+            let mut node_core2 = Vec::new();
+            tree.min_core2_into(&core2, &mut node_core2);
+            let mr = MutualReachability { core2: &core2 };
+            let (proofs, _) = check_subtree_margins(&tree, &points, &Euclidean, &comp, &[]);
+            assert!(proofs > 0, "dim={dim}: Euclidean never proved a margin");
+            let (proofs, _) = check_subtree_margins(&tree, &points, &mr, &comp, &node_core2);
+            assert!(
+                proofs > 0,
+                "dim={dim}: mutual reachability never proved a margin"
+            );
+            // Without per-node core minima the bound stays valid, just looser.
+            check_subtree_margins(&tree, &points, &mr, &comp, &[]);
+        }
+    }
+
+    #[test]
+    fn subtree_margin_ties_at_the_bound_do_not_prove() {
+        // Two 8×4 integer grids one unit apart along x: the box of each
+        // grid's half-tree sits at squared distance exactly 1 from the
+        // other grid's nearest column, which is also the true minimum under
+        // both metrics (the facing columns' middle rows have unit core
+        // distances). So the proofs are tight — a bound just below the
+        // minimum proves it exactly — and the bound equal to it (the tie)
+        // must not prove.
+        let ctx = ExecCtx::serial();
+        let coords: Vec<f32> = (-8..8)
+            .flat_map(|x| (0..4).flat_map(move |y| [x as f32, y as f32]))
+            .collect();
+        let points = PointSet::new(coords, 2);
+        let tree = KdTree::build_with_leaf_size(&ctx, &points, 4);
+        let comp: Vec<u32> = (0..points.len())
+            .map(|p| u32::from(points.point(p)[0] >= 0.0))
+            .collect();
+        let (_, tight) = check_subtree_margins(&tree, &points, &Euclidean, &comp, &[]);
+        assert!(tight > 0, "no Euclidean proof reached the exact minimum");
+        let core2: Vec<f32> = (0..points.len() as u32)
+            .map(|q| tree.knn(&points, q, 4)[3].0)
+            .collect();
+        let mut node_core2 = Vec::new();
+        tree.min_core2_into(&core2, &mut node_core2);
+        let mr = MutualReachability { core2: &core2 };
+        let (_, tight) = check_subtree_margins(&tree, &points, &mr, &comp, &node_core2);
+        assert!(
+            tight > 0,
+            "no mutual-reachability proof reached the exact minimum"
+        );
+    }
+
+    #[test]
+    fn pure_subtree_at_finds_the_largest_pure_node_in_range() {
+        let ctx = ExecCtx::serial();
+        let points = random_points(256, 2, 5);
+        let tree = KdTree::build_with_leaf_size(&ctx, &points, 8);
+        let comp: Vec<u32> = (0..256)
+            .map(|p| u32::from(points.point(p)[0] > 0.0))
+            .collect();
+        let purity = tree.component_purity(&comp);
+        for (within, pos) in [
+            (0..256, 0usize),
+            (0..256, 131),
+            (64..200, 100),
+            (10..20, 15),
+        ] {
+            let c = comp[tree.perm()[pos] as usize];
+            let got = tree.pure_subtree_at(pos, c, &purity, &within, None);
+            // Brute force: the qualifying nodes containing `pos`, largest first.
+            let expect = (0..tree.n_nodes() as u32)
+                .filter(|&nd| {
+                    let r = tree.node_range(nd);
+                    r.contains(&pos)
+                        && purity[nd as usize] == c
+                        && within.start <= r.start
+                        && r.end <= within.end
+                })
+                .max_by_key(|&nd| tree.node_range(nd).len());
+            assert_eq!(got, expect, "pos={pos} within={within:?}");
+            if let Some(nd) = got {
+                // Strictly below a node, the answer shrinks or vanishes.
+                if let Some(inner) = tree.pure_subtree_at(pos, c, &purity, &within, Some(nd)) {
+                    assert!(tree.node_range(inner).len() < tree.node_range(nd).len());
+                    assert!(tree.node_range(inner).contains(&pos));
+                }
+            }
         }
     }
 

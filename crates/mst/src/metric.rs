@@ -90,6 +90,12 @@ pub trait Metric: Sync {
     /// inside the axis-aligned box `[bbox_min, bbox_max]`, given the minimum
     /// (squared) core distance of the points inside the box.
     fn box_bound2(&self, points: &PointSet, q: u32, box_dist2: f32, box_min_core2: f32) -> f32;
+
+    /// Lower bound on the squared distance between *any* point of one box
+    /// and *any* point of another, given the squared box–box distance and
+    /// each box's minimum squared core distance — the node-to-node bound of
+    /// the kd-tree's subtree margin query ([`crate::KdTree::subtree_margin`]).
+    fn node_bound2(&self, box_box_dist2: f32, min_core2_a: f32, min_core2_b: f32) -> f32;
 }
 
 /// Width of the chunked leaf distance kernels: distances to this many
@@ -170,6 +176,23 @@ pub fn point_box_dist2(p: &[f32], bbox_min: &[f32], bbox_max: &[f32]) -> f32 {
     }
 }
 
+/// Squared distance between two axis-aligned boxes: per axis, the gap
+/// between the intervals (0 where they overlap).
+///
+/// Every per-axis gap lower-bounds the coordinate difference of any pair of
+/// points drawn from the two boxes, and rounded subtraction, squaring and
+/// summation are monotone, so the result never exceeds the
+/// [`euclid_block_dist2`] distance of such a pair.
+#[inline]
+pub fn box_box_dist2(a_min: &[f32], a_max: &[f32], b_min: &[f32], b_max: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for d in 0..a_min.len() {
+        let gap = (a_min[d] - b_max[d]).max(b_min[d] - a_max[d]).max(0.0);
+        acc += gap * gap;
+    }
+    acc
+}
+
 /// Plain Euclidean distance.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Euclidean;
@@ -188,6 +211,11 @@ impl Metric for Euclidean {
     #[inline(always)]
     fn box_bound2(&self, _points: &PointSet, _q: u32, box_dist2: f32, _box_min_core2: f32) -> f32 {
         box_dist2
+    }
+
+    #[inline(always)]
+    fn node_bound2(&self, box_box_dist2: f32, _min_core2_a: f32, _min_core2_b: f32) -> f32 {
+        box_box_dist2
     }
 }
 
@@ -217,6 +245,13 @@ impl Metric for MutualReachability<'_> {
         // d_mreach(q, x) ≥ max(core(q), d(q,x), min core in box) for any x
         // in the box.
         box_dist2.max(self.core2[q as usize]).max(box_min_core2)
+    }
+
+    #[inline(always)]
+    fn node_bound2(&self, box_box_dist2: f32, min_core2_a: f32, min_core2_b: f32) -> f32 {
+        // d_mreach(y, x) ≥ max(d(y,x), core(y), core(x)) for y, x in the
+        // two boxes, and each core is at least its box's minimum.
+        box_box_dist2.max(min_core2_a).max(min_core2_b)
     }
 }
 

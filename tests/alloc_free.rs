@@ -15,7 +15,7 @@ use std::sync::Arc;
 use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::hdbscan::{ClusterRequest, DatasetIndex};
 use pandora::mst::{
-    boruvka_mst_with, core_distances2, BoruvkaExtras, Euclidean, KdTree, KnnHeap,
+    boruvka_mst_with, core_distances2, BoruvkaExtras, BoruvkaStats, Euclidean, KdTree, KnnHeap,
     MutualReachability, PointSet,
 };
 
@@ -151,6 +151,53 @@ fn steady_state_queries_do_not_allocate() {
         boruvka_allocs <= 24,
         "boruvka_mst_with made {boruvka_allocs} allocations for a full run \
          (steady-state queries must be allocation-free per lane)"
+    );
+
+    // --- Same budget on well-separated blobs, where late rounds retire
+    //     whole component-pure subtrees by box-to-tree tests instead of
+    //     re-searching their points: the tests run on fixed-size stacks,
+    //     so the retirement path adds no allocation either. ---
+    let blob_coords: Vec<f32> = points
+        .coords()
+        .chunks(3)
+        .enumerate()
+        .flat_map(|(i, c)| {
+            // Four blobs of side 2 at the corners of a 1000-unit square.
+            let centre = [(i % 2) as f32 * 1000.0, ((i / 2) % 2) as f32 * 1000.0, 0.0];
+            (0..3).map(move |d| centre[d] + c[d] * 0.02)
+        })
+        .collect();
+    let blobs = PointSet::new(blob_coords, 3);
+    let blob_tree = KdTree::build(&ctx, &blobs);
+    let blob_core2 = core_distances2(&ctx, &blobs, &blob_tree, 2);
+    let mut blob_node_core2 = Vec::new();
+    blob_tree.min_core2_into(&blob_core2, &mut blob_node_core2);
+    let blob_metric = MutualReachability { core2: &blob_core2 };
+    let stats = BoruvkaStats::new();
+    let blob_allocs = min_allocs_over(3, || {
+        let extras = BoruvkaExtras {
+            node_core2: &blob_node_core2,
+            stats: Some(&stats),
+            ..Default::default()
+        };
+        let edges = boruvka_mst_with(
+            &ctx,
+            &blobs,
+            &blob_tree,
+            &blob_metric,
+            extras,
+            &ScratchPool::new(),
+        );
+        assert_eq!(edges.len(), n - 1);
+    });
+    assert!(
+        stats.subtree_skips() > 0,
+        "the blob input must exercise subtree retirement"
+    );
+    assert!(
+        blob_allocs <= 24,
+        "boruvka_mst_with made {blob_allocs} allocations for a full run on \
+         blobs (subtree retirement must be allocation-free)"
     );
 
     // --- Warm session: after the first run, every stage buffer (Borůvka

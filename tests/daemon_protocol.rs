@@ -169,9 +169,10 @@ fn wire_load_and_sweep_match_in_process_results() {
 #[test]
 fn stats_exposes_boruvka_witness_and_snapshot_counters() {
     // The per-dataset `stats` rows carry the Borůvka effectiveness
-    // counters (docs/SERVING.md): witness hits, tree re-searches and
-    // endgame-snapshot adoptions — present from the first reply (all
-    // zero before any engine work) and moving once a request runs.
+    // counters (docs/SERVING.md): witness hits, tree re-searches, subtree
+    // tests and skips, and endgame-snapshot adoptions — present from the
+    // first reply (all zero before any engine work) and moving once a
+    // request runs.
     let daemon = Daemon::bind("127.0.0.1:0", DaemonConfig::new().workers(2)).expect("bind");
     daemon
         .registry()
@@ -179,7 +180,7 @@ fn stats_exposes_boruvka_witness_and_snapshot_counters() {
         .expect("register");
     let mut client = Client::connect(&daemon);
 
-    let dataset_row = |line: &str| -> (usize, usize, usize) {
+    let dataset_row = |line: &str| -> [usize; 5] {
         let parsed = Json::parse(line).expect("stats is valid JSON");
         let datasets = parsed
             .get("result")
@@ -195,25 +196,32 @@ fn stats_exposes_boruvka_witness_and_snapshot_counters() {
                 .and_then(Json::as_usize)
                 .unwrap_or_else(|| panic!("no {key} counter in: {line}"))
         };
-        (
-            field("witness_hits"),
-            field("researches"),
-            field("snapshot_adopts"),
-        )
+        [
+            "witness_hits",
+            "researches",
+            "subtree_tests",
+            "subtree_skips",
+            "snapshot_adopts",
+        ]
+        .map(field)
     };
 
     let line = client.call(r#"{"id":1,"method":"stats"}"#);
     assert_eq!(
         dataset_row(&line),
-        (0, 0, 0),
+        [0; 5],
         "counters must exist and read zero before any engine work: {line}"
     );
 
     let ok = client.call(r#"{"id":2,"method":"cluster","params":{"dataset":"d","min_pts":4}}"#);
     assert!(ok.contains(r#""result""#), "{ok}");
     let line = client.call(r#"{"id":3,"method":"stats"}"#);
-    let (hits, _, _) = dataset_row(&line);
+    let [hits, _, tests, skips, _] = dataset_row(&line);
     assert!(hits > 0, "a cluster run must score witness hits: {line}");
+    assert!(
+        tests > 0 && skips > 0,
+        "well-separated blobs must retire points by subtree tests: {line}"
+    );
 
     daemon.shutdown();
     daemon.join();

@@ -1,9 +1,11 @@
 //! Property-based tests (proptest) for the EMST substrate: Borůvka must
 //! match the Prim oracle on adversarial inputs — duplicate points,
 //! collinear grids, single-cluster blobs, all with quantized coordinates so
-//! exact distance ties abound — and the kd-tree's structural invariants
-//! (contiguous subtree ranges, boxes containing their points, cached splits
-//! separating the children) must hold for every build configuration.
+//! exact distance ties abound — and on well-separated blobs, where late
+//! rounds retire whole kd-subtrees by box-to-tree bounds. The kd-tree's
+//! structural invariants (contiguous subtree ranges, boxes containing their
+//! points, cached splits separating the children) must hold for every
+//! build configuration.
 
 mod common;
 
@@ -11,14 +13,59 @@ use proptest::prelude::*;
 
 use common::emst::{adversarial_points, bare_emst, edge_bits};
 use pandora::core::pandora::dendrogram_from_sorted;
-use pandora::core::SortedMst;
-use pandora::exec::ExecCtx;
+use pandora::core::{Edge, SortedMst};
+use pandora::data::synthetic::gaussian_blobs;
+use pandora::exec::{ExecCtx, ScratchPool};
 use pandora::mst::kruskal::total_weight;
 use pandora::mst::prim::prim_mst;
 use pandora::mst::{
-    core_distances2, emst, emst_from_index, knn_rows_into, row_witness_scan, EmstIndex,
-    EmstScratch, Euclidean, KdTree, KnnRows, MutualReachability,
+    boruvka_mst_with, core_distances2, emst, emst_from_index, knn_rows_into, row_witness_scan,
+    BoruvkaExtras, BoruvkaStats, EmstIndex, EmstScratch, Euclidean, KdTree, KnnRows, Metric,
+    MutualReachability, PointSet,
 };
+
+/// Borůvka over `points` under `metric` with subtree bounds and counters
+/// engaged, on a fresh tree built in `ctx`; returns the edges and the
+/// run's `(subtree_tests, subtree_skips)`.
+fn counted_boruvka<M: Metric>(
+    ctx: &ExecCtx,
+    points: &PointSet,
+    metric: &M,
+    core2: Option<&[f32]>,
+) -> (Vec<Edge>, (u64, u64)) {
+    let tree = KdTree::build(ctx, points);
+    let mut node_core2 = Vec::new();
+    if let Some(core2) = core2 {
+        tree.min_core2_into(core2, &mut node_core2);
+    }
+    let stats = BoruvkaStats::new();
+    let extras = BoruvkaExtras {
+        node_core2: &node_core2,
+        stats: Some(&stats),
+        ..Default::default()
+    };
+    let edges = boruvka_mst_with(ctx, points, &tree, metric, extras, &ScratchPool::new());
+    (edges, (stats.subtree_tests(), stats.subtree_skips()))
+}
+
+/// Edges as sorted `(min endpoint, max endpoint, weight bits)` — the
+/// orientation- and order-free form of an edge set.
+fn edge_set(edges: &[Edge]) -> Vec<(u32, u32, u32)> {
+    let mut set: Vec<_> = edges
+        .iter()
+        .map(|e| (e.u.min(e.v), e.u.max(e.v), e.w.to_bits()))
+        .collect();
+    set.sort_unstable();
+    set
+}
+
+/// Sorted edge-weight bits: identical for *every* MST of a graph, ties or
+/// not, so it compares trees exactly where the edge set is not unique.
+fn weight_multiset(edges: &[Edge]) -> Vec<u32> {
+    let mut w: Vec<u32> = edges.iter().map(|e| e.w.to_bits()).collect();
+    w.sort_unstable();
+    w
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -213,6 +260,58 @@ proptest! {
             for run in [&one_shot, &first, &second, &adopted] {
                 prop_assert_eq!(run.core2.as_slice(), cold.core2.as_slice());
                 prop_assert_eq!(edge_bits(run), want.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn subtree_retirement_matches_prim_on_separated_blobs(
+        (dim, seed, quantize) in (2usize..4, any::<u64>(), any::<bool>())
+    ) {
+        // Four well-separated Gaussian blobs: late rounds leave one
+        // component per blob, whose pure kd-subtrees the subtree test
+        // retires wholesale. Continuous coordinates make the Euclidean MST
+        // unique, so its exact edge set must match Prim's; mutual
+        // reachability at minPts 8 ties many edges at core distances, and
+        // a quarter-unit grid (`quantize`) ties distances too — there the
+        // trees may differ but their weight multisets may not. Serial and
+        // threaded runs (two lane chunks at this size) must agree bit for
+        // bit, and the retirement path must actually run.
+        let (mut points, _) = gaussian_blobs(400, dim, 4, 40.0, 1.0, seed);
+        if quantize {
+            let grid: Vec<f32> = points.coords().iter().map(|c| (c * 4.0).round() / 4.0).collect();
+            points = PointSet::new(grid, dim);
+        }
+        let serial = ExecCtx::serial();
+        for min_pts in [1usize, 2, 8] {
+            let tree = KdTree::build(&serial, &points);
+            let core2 = core_distances2(&serial, &points, &tree, min_pts);
+            let mr = MutualReachability { core2: &core2 };
+            let run = |ctx: &ExecCtx| {
+                if min_pts == 1 {
+                    counted_boruvka(ctx, &points, &Euclidean, None)
+                } else {
+                    counted_boruvka(ctx, &points, &mr, Some(&core2))
+                }
+            };
+            let (edges, (tests, skips)) = run(&serial);
+            prop_assert!(tests > 0 && skips > 0, "minPts={}: no subtree was retired", min_pts);
+            let (threaded, _) = run(&ExecCtx::threads());
+            let bits = |es: &[Edge]| es.iter().map(|e| (e.u, e.v, e.w.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(&edges), bits(&threaded), "minPts={}: serial and threaded runs diverged", min_pts
+            );
+            let oracle = if min_pts == 1 {
+                prim_mst(&points, &Euclidean)
+            } else {
+                prim_mst(&points, &mr)
+            };
+            prop_assert_eq!(weight_multiset(&edges), weight_multiset(&oracle), "minPts={}", min_pts);
+            // minPts 2 mutual reachability equals Euclidean (every core
+            // distance is the nearest-neighbour distance), so it is unique
+            // on continuous inputs too.
+            if !quantize && min_pts <= 2 {
+                prop_assert_eq!(edge_set(&edges), edge_set(&oracle), "minPts={}", min_pts);
             }
         }
     }
